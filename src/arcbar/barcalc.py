@@ -7,16 +7,15 @@ comparison with the cyclic space model.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .circle import ArcSystem, compose_uec, sample_ucc, wreath_act
-from .cyclic import (CyclicPoint, align_ucc, lambda_to_ucc, twist_point,
-                     ucc_to_lambda)
-from .groups import (CyclicElem, WreathElem, act_labels, upsilon,
-                     znwrcm_elements)
+from .circle import ArcSystem, compose_uec, sample_ucc
+from .cyclic import CyclicPoint, align_ucc, lambda_to_ucc, ucc_to_lambda
+from .groups import CyclicElem, act_labels
 from .rational import InvariantViolation, MismatchError, Turn
 
 # ---------------------------------------------------------------------------
@@ -279,14 +278,8 @@ def twist_order(R: FinCmMonoid, q: int, probe: Tuple_ | None = None,
             k += 1
             if k > cap:
                 raise InvariantViolation("twist order exceeds cap")
-        best = best * k // _gcd(best, k)
+        best = math.lcm(best, k)
     return best
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -530,20 +523,21 @@ class LabeledOrbit:
         return (self.kind, self.m, self.n, space, self.labels or ())
 
 
-def pair_orbit_elements(m: int, n: int):
-    return tuple(znwrcm_elements(n, m))
+def _canon_slots(zs: Sequence, rest: tuple, labels: Sequence[str], quantum,
+                 sig_pow) -> tuple:
+    """Least (centers, *rest, labels) over the orbit of Z_n wr C_m.
+
+    The C_m member of a slot moves only that slot's center, by multiples of
+    `quantum`, and acts by sigma on its label.  Centers compare first, so
+    for each rotation the least member reduces every center mod `quantum`;
+    only the n rotations are left to compare.
+    """
+    cols = (tuple(z % quantum for z in zs), *rest,
+            tuple(sig_pow(y, -(z // quantum)) for z, y in zip(zs, labels)))
+    return min(tuple(c[k:] + c[:k] for c in cols) for k in range(len(zs)))
 
 
-def _pair_act(g: WreathElem, space: ArcSystem, labels: tuple[str, ...],
-              coeffs) -> tuple[ArcSystem, tuple[str, ...]]:
-    """Diagonal action generating the half-smash identifications: arcs and
-    their labels move by the same slot bookkeeping."""
-    return (wreath_act(g, space),
-            act_labels(g, labels, lambda c, y: _label_act(c, y, coeffs)))
-
-
-def labeled_orbit(coeffs, space: ArcSystem, labels: Sequence[str],
-                  group: Sequence[WreathElem] | None = None) -> LabeledOrbit:
+def labeled_orbit(coeffs, space: ArcSystem, labels: Sequence[str]) -> LabeledOrbit:
     """Canonicalize an (arc system, labels) pair; basepoint labels collapse."""
     labels = tuple(labels)
     m, n = space.m, space.n
@@ -554,16 +548,12 @@ def labeled_orbit(coeffs, space: ArcSystem, labels: Sequence[str],
         return LabeledOrbit(m, n, None, None, "base")
     if n == 0:
         return LabeledOrbit(m, 0, None, None, "unit")
-    if group is None:
-        group = pair_orbit_elements(m, n)
-    best = None
-    for g in group:
-        cand = _pair_act(g, space, labels, coeffs)
-        key = (cand[0].sort_key(), cand[1])
-        if best is None or key < best[0]:
-            best = (key, cand)
-    assert best is not None
-    space_c, labels_c = best[1]
+    phi = space.phi if space.phi is not None else ()
+    zs, rs, phi_c, labels_c = _canon_slots(
+        [z.value for z in space.centers()], (space.radii(), phi), labels,
+        space.quantum, coeffs.sigma_pow)
+    space_c = ArcSystem(m, tuple((Turn(z), r) for z, r in zip(zs, rs)),
+                        phi_c if space.phi is not None else None, space.variant)
     return LabeledOrbit(m, n, space_c, labels_c, "point")
 
 
@@ -575,12 +565,11 @@ def compressed_cc(coeffs, n_max: int, per_degree: int = 20, seed: int = 0,
     out: dict[int, list[LabeledOrbit]] = {
         0: [LabeledOrbit(coeffs.m, 0, None, None, "unit")]}
     for n in range(1, n_max + 1):
-        group = pair_orbit_elements(coeffs.m, n)
         reps = set()
         for _ in range(per_degree):
             x = sample_ucc(rng, coeffs.m, n, den)
             labels = tuple(rng.choice(coeffs.elements) for _ in range(n))
-            reps.add(labeled_orbit(coeffs, x, labels, group))
+            reps.add(labeled_orbit(coeffs, x, labels))
         out[n] = sorted(reps, key=LabeledOrbit.sort_key)
     return out
 
@@ -622,20 +611,30 @@ class LambdaClass:
         return (self.kind, self.m, self.n, pt, self.labels or ())
 
 
+def _canon_twists(rbar, ts: tuple, labels: tuple[str, ...], one,
+                  sig_pow) -> tuple:
+    """Least (rbar, simplex, labels) over the orbit of C_{mn}: the twist on
+    the point paired with the distinguished wreath element on the labels,
+    with `one` units of rbar to a turn.
+
+    The n-th power of the generator shifts rbar by -one and applies sigma^-1
+    to every label, so for each of the n twist powers the least member has
+    rbar in [0, one); only those n candidates are compared.
+    """
+    cands = []
+    for _ in range(len(ts)):
+        j = rbar // one
+        cands.append((rbar - j * one, ts, tuple(sig_pow(y, -j) for y in labels)))
+        rbar, ts = rbar - ts[-1], (ts[-1],) + ts[:-1]
+        labels = (sig_pow(labels[-1], -1),) + labels[:-1]
+    return min(cands)
+
+
 def _lambda_canon(coeffs, p: CyclicPoint, labels: tuple[str, ...]) -> LambdaClass:
-    m, n = p.m, p.q + 1
-    ups = upsilon(m, n)
-    best = None
-    cur_p, cur_l = p, labels
-    for _ in range(m * n):
-        key = (cur_p.sort_key(), cur_l)
-        if best is None or key < best[0]:
-            best = (key, (cur_p, cur_l))
-        cur_p = twist_point(cur_p)
-        cur_l = act_labels(ups, cur_l,
-                           lambda c, y: _label_act(c, y, coeffs))
-    assert best is not None
-    return LambdaClass(m, n, best[1][0], best[1][1], "point")
+    rbar, simplex, labels_c = _canon_twists(p.rbar.value, p.simplex, labels, 1,
+                                            coeffs.sigma_pow)
+    return LambdaClass(p.m, p.q + 1, CyclicPoint(p.m, Turn(rbar, Fraction(p.m)),
+                                                 simplex), labels_c, "point")
 
 
 def map_c_to_l(coeffs, orbit: LabeledOrbit) -> LambdaClass:
@@ -667,21 +666,6 @@ def lambda_class_to_orbit(coeffs, cls: LambdaClass) -> LabeledOrbit:
 # lattice enumeration for exact class counts (integer fast path)
 # ---------------------------------------------------------------------------
 
-def _ucc_lattice(n: int, m: int, den: int) -> Iterator[tuple[tuple[int, ...],
-                                                             tuple[int, ...]]]:
-    """Zero-radius systems with centers on the 1/(m*den) grid and gaps on the
-    1/den grid of the quotient circumference: (zetas, phis) in 1/(m*den) units."""
-    scale = m * den
-    for z0 in range(scale):
-        for comp in _compositions(den, n):
-            phis = tuple(c for c in comp)
-            for shifts in itertools.product(range(m), repeat=n - 1):
-                zs = [z0]
-                for j in range(n - 1):
-                    zs.append((zs[-1] + phis[j] + shifts[j] * den) % scale)
-                yield tuple(zs), phis
-
-
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     if parts == 1:
         yield (total,)
@@ -689,80 +673,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def _lambda_lattice(n: int, m: int, den: int) -> Iterator[tuple[int,
-                                                                tuple[int, ...]]]:
-    """Cyclic-space points with base angle on the 1/den grid of [0, m) and
-    simplex coordinates on the 1/den grid."""
-    for rbar in range(m * den):
-        for ts in _compositions(den, n):
-            yield rbar, ts
-
-
-def _enc_wreath_act(n: int, m: int, den: int, k: int, cs: Sequence[int],
-                    zs: Sequence[int], ps: Sequence[int], labels, sig_pow):
-    """Diagonal slot action on encoded points: arcs and labels move together."""
-    scale = m * den
-    zs2 = [0] * n
-    ps2 = [0] * n
-    labels2 = [None] * n
-    for i in range(n):
-        src = (i - k) % n
-        zs2[i] = (zs[src] + cs[src] * den) % scale
-        ps2[i] = ps[src]
-        labels2[i] = sig_pow(labels[src], cs[src])
-    return tuple(zs2), tuple(ps2), tuple(labels2)
-
-
-def _space_class_map(n: int, m: int, den: int, letters: Sequence[str],
-                     sig_pow) -> dict:
-    """point+labels -> canonical representative under Z_n wr C_m."""
-    from .groups import orbit_sweep
-
-    points = []
-    for zs, ps in _ucc_lattice(n, m, den):
-        for labels in itertools.product(letters, repeat=n):
-            points.append((zs, ps, labels))
-    group = [(k, cs) for k in range(n)
-             for cs in itertools.product(range(m), repeat=n)]
-
-    def transforms(pt):
-        zs, ps, labels = pt
-        return [_enc_wreath_act(n, m, den, k, cs, zs, ps, labels, sig_pow)
-                for k, cs in group]
-
-    return orbit_sweep(points, transforms)
-
-
-def _lambda_class_map(n: int, m: int, den: int, letters: Sequence[str],
-                      sig_pow) -> dict:
-    """point+labels -> canonical representative under C_{mn} via the twist."""
-    from .groups import orbit_sweep
-
-    points = []
-    for rbar, ts in _lambda_lattice(n, m, den):
-        for labels in itertools.product(letters, repeat=n):
-            points.append((rbar, ts, labels))
-
-    def gen(pt):
-        # the twist on the point paired with the distinguished wreath element
-        # on the labels: the diagonal identification of the half-smash
-        rbar, ts, labels = pt
-        rbar2 = (rbar - ts[-1]) % (m * den)
-        ts2 = (ts[-1],) + ts[:-1]
-        labels2 = (sig_pow(labels[-1], -1),) + labels[:-1]
-        return rbar2, ts2, labels2
-
-    def transforms(pt):
-        out = []
-        cur = pt
-        for _ in range(m * n):
-            cur = gen(cur)
-            out.append(cur)
-        return out
-
-    return orbit_sweep(points, transforms)
 
 
 def _encode_space(x: ArcSystem, labels, coeffs, den: int):
@@ -821,15 +731,30 @@ def check_thm_cycbar_free(X: PointedCmSet, n_max: int, m: int, den: int = 4,
     letters = X.nonbase()
     failures: list[str] = []
     per_degree: list[dict] = []
+    scale = m * den
+    sig_pow = X.sigma_pow
 
-    def sig_pow(x: str, k: int) -> str:
-        return X.sigma_pow(x, k)
+    # encoded points: centers and gaps in 1/(m*den) turns on the space side,
+    # rbar and simplex coordinates in 1/den units on the cyclic side
+    def space_canon(enc):
+        zs, ps, labels = enc
+        return _canon_slots(zs, (ps,), labels, den, sig_pow)
+
+    def lam_canon(enc):
+        return _canon_twists(*enc, den, sig_pow)
 
     for n in range(1, n_max + 1):
-        space_map = _space_class_map(n, m, den, letters, sig_pow)
-        lam_map = _lambda_class_map(n, m, den, letters, sig_pow)
-        space_classes = set(space_map.values())
-        lam_classes = set(lam_map.values())
+        # every orbit meets the points with all centers (space side) or the
+        # base angle (cyclic side) in [0, den), so only those are enumerated
+        space_classes = set()
+        lam_classes = set()
+        for ps in _compositions(den, n):
+            for z0 in range(den):
+                zs = tuple(itertools.accumulate(
+                    ps[:-1], lambda z, p: (z + p) % den, initial=z0))
+                for labels in itertools.product(letters, repeat=n):
+                    space_classes.add(space_canon((zs, ps, labels)))
+                    lam_classes.add(lam_canon((z0, ps, labels)))
         entry = {"n": n, "left_classes": len(space_classes),
                  "right_classes": len(lam_classes)}
         per_degree.append(entry)
@@ -842,17 +767,17 @@ def check_thm_cycbar_free(X: PointedCmSet, n_max: int, m: int, den: int = 4,
         # encoded forward map: align, reindex, canonicalize in the target
         def forward(enc):
             zs, ps, labels = enc
-            scale = m * den
             cs = [0] * n
             target = zs[0]
             for j in range(1, n):
                 target = (target + ps[j - 1]) % scale
                 diff = (target - zs[j]) % scale
-                assert diff % den == 0
-                cs[j] = (diff // den) % m
+                if diff % den:
+                    raise InvariantViolation(
+                        "encoded system violates the gap consistency invariant")
+                cs[j] = diff // den
             labels2 = tuple(sig_pow(labels[i], cs[i]) for i in range(n))
-            rbar = zs[0]  # 1/(m*den) units of a turn = 1/den units of rbar
-            return lam_map[(rbar % (m * den), tuple(ps), labels2)]
+            return lam_canon((zs[0], ps, labels2))
 
         images: dict = {}
         ok_bijection = True
@@ -872,7 +797,7 @@ def check_thm_cycbar_free(X: PointedCmSet, n_max: int, m: int, den: int = 4,
             for img, cls in images.items():
                 p, labels = _decode_lambda(m, den, img)
                 back = _encode_space(lambda_to_ucc(p), labels, X, den)
-                if space_map[back] != cls:
+                if space_canon(back) != cls:
                     failures.append(f"n={n}: explicit inverse fails on a class")
                     break
 
@@ -881,14 +806,13 @@ def check_thm_cycbar_free(X: PointedCmSet, n_max: int, m: int, den: int = 4,
             space, labels = _decode_space(m, den, cls)
             orb = labeled_orbit(X, space, labels)
             lam = map_c_to_l(X, orb)
-            assert lam.point is not None and lam.labels is not None
             rb = lam.point.rbar.value * den
             ts = [t * den for t in lam.point.simplex]
             if rb.denominator != 1 or any(t.denominator != 1 for t in ts):
                 failures.append(f"n={n}: exact route leaves the lattice")
                 break
             enc = (int(rb), tuple(int(t) for t in ts), lam.labels)
-            if lam_map.get(enc) != forward(cls):
+            if lam_canon(enc) != forward(cls):
                 failures.append(f"n={n}: encoded and exact routes disagree")
                 break
     return ThmReport(m, den, per_degree, failures)

@@ -13,7 +13,8 @@ from .rational import InvariantViolation, MismatchError, Turn
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("WORKBENCH_SEED", "0"))
+    return jsonio.parse_input(int, os.environ.get("WORKBENCH_SEED", "0"),
+                              "WORKBENCH_SEED")
 
 
 def _load_json(text: str):
@@ -21,8 +22,17 @@ def _load_json(text: str):
         return json.load(sys.stdin)
     if text.strip().startswith(("{", "[", '"')):
         return json.loads(text)
-    with open(text) as fh:
-        return json.load(fh)
+    try:
+        with open(text) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise jsonio.SchemaError(f"cannot read {text!r}: {exc.strerror}") from exc
+
+
+def _parse(option: str, text: str, from_json=lambda obj: obj):
+    """Load the JSON text of one option (inline, a file, or - for stdin) and
+    parse it; malformed input becomes a SchemaError naming the option."""
+    return jsonio.parse_input(lambda t: from_json(_load_json(t)), text, option)
 
 
 def _emit(obj) -> None:
@@ -51,7 +61,7 @@ def _finish(rep: suites.Report) -> int:
     return 0 if rep.ok else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="workbench",
         description="verification workbench for exact circle-operad algebra")
@@ -114,10 +124,12 @@ def main(argv: list[str] | None = None) -> int:
     prt = elem_sub.add_parser("roundtrip")
     prt.add_argument("--json", required=True, dest="payload")
     prt.add_argument("--kind", default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        return _dispatch(args)
+        return _dispatch(_build_parser().parse_args(argv))
     except (InvariantViolation, MismatchError, jsonio.SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -127,8 +139,8 @@ def _dispatch(args) -> int:
     if args.module == "operad":
         if args.command == "compose":
             inst = INSTANCES[args.instance]
-            outer = jsonio.operad_elem_from_json(_load_json(args.outer))
-            inners = [jsonio.operad_elem_from_json(_load_json(s))
+            outer = _parse("--outer", args.outer, jsonio.operad_elem_from_json)
+            inners = [_parse("--inner", s, jsonio.operad_elem_from_json)
                       for s in args.inner]
             _emit(jsonio.operad_elem_to_json(inst.compose(outer, inners)))
             return 0
@@ -147,22 +159,24 @@ def _dispatch(args) -> int:
 
     if args.module == "embed":
         if args.command == "compose":
-            outer = jsonio.arc_system_from_json(_load_json(args.outer))
-            inners = [tuple((Fraction(v), Fraction(s)) for v, s in _load_json(b))
+            outer = _parse("--outer", args.outer, jsonio.arc_system_from_json)
+            inners = [_parse("--inner", b, lambda obj: tuple(
+                          (Fraction(v), Fraction(s)) for v, s in obj))
                       for b in args.inner]
             _emit(jsonio.arc_system_to_json(circle.compose_uec(outer, inners)))
             return 0
         if args.command == "act":
-            x = jsonio.arc_system_from_json(_load_json(args.system))
+            x = _parse("--system", args.system, jsonio.arc_system_from_json)
             if args.wreath:
-                x = circle.wreath_act(jsonio.wreath_from_json(
-                    _load_json(args.wreath)), x)
+                x = circle.wreath_act(
+                    _parse("--wreath", args.wreath, jsonio.wreath_from_json), x)
             if args.theta:
-                x = circle.circle_act(Turn(Fraction(args.theta)), x)
+                theta = jsonio.parse_input(Fraction, args.theta, "--theta")
+                x = circle.circle_act(Turn(theta), x)
             _emit(jsonio.arc_system_to_json(x))
             return 0
         if args.command == "retract":
-            x = jsonio.arc_system_from_json(_load_json(args.system))
+            x = _parse("--system", args.system, jsonio.arc_system_from_json)
             for _ in range(args.steps):
                 x = circle.retract_step(x)
             _emit(jsonio.arc_system_to_json(x))
@@ -177,7 +191,7 @@ def _dispatch(args) -> int:
                    "source": nf.source, "target": nf.target, "m": nf.m})
             return 0
         if args.command == "act":
-            p = jsonio.point_from_json(_load_json(args.point))
+            p = _parse("--point", args.point, jsonio.point_from_json)
             out = cyclic.act_on_point(args.word, p)
             _emit(jsonio.point_to_json(out))
             return 0
@@ -185,7 +199,7 @@ def _dispatch(args) -> int:
 
     if args.module == "bar":
         if args.command == "cyclic-verify" and args.monoid:
-            R = jsonio.monoid_from_json(_load_json(args.monoid))
+            R = _parse("--monoid", args.monoid, jsonio.monoid_from_json)
             out = barcalc.verify_cyclic_object(R, args.q_max, seed=args.seed,
                                                trials=args.trials)
             _emit({"name": out.name, "cases": out.cases,
@@ -200,7 +214,7 @@ def _dispatch(args) -> int:
         return _finish(suites.run_suite(_suite_config(args, args.name)))
 
     if args.module == "element":
-        payload = _load_json(args.payload)
+        payload = _parse("--json", args.payload)
         _emit(jsonio.element_round_trip(payload, kind=args.kind))
         return 0
 

@@ -20,8 +20,6 @@ from .rational import (InvariantViolation, MismatchError, Turn, _draw_rat,
                        draw_composition)
 from .circle import ArcSystem, wreath_act
 
-WordInput = "str | CyclicWord"
-
 
 @dataclass(frozen=True)
 class Gen:
@@ -105,14 +103,18 @@ def parse_word(text: str, m: int, source: int) -> CyclicWord:
     q = source
     for tok in tokens:
         tok = tok.strip()
-        kind, rest = tok[0], tok[1:]
+        kind, rest = tok[:1], tok[1:]
+        try:
+            index = int(rest) if rest else None
+        except ValueError:
+            raise InvariantViolation(f"unknown token {tok!r}") from None
         if kind == "t":
-            if rest and int(rest) != q:
+            if index is not None and index != q:
                 raise InvariantViolation(
                     f"twist written at degree {rest} but applied at degree {q}")
             g = Gen("t", 0, q)
-        elif kind in ("d", "s"):
-            g = Gen(kind, int(rest), q)
+        elif kind in ("d", "s") and index is not None:
+            g = Gen(kind, index, q)
         else:
             raise InvariantViolation(f"unknown token {tok!r}")
         gens.append(g)
@@ -197,7 +199,9 @@ def normalize_word(w: CyclicWord) -> CyclicWord:
     k %= w.m * (target + 1)
     gens.extend(Gen("t", 0, target) for _ in range(k))
     out = CyclicWord(w.m, w.source, tuple(gens))
-    assert out.target == w.target
+    if out.target != w.target:
+        raise InvariantViolation(
+            f"rewriting moved the target degree from {w.target} to {out.target}")
     return out
 
 
@@ -290,7 +294,8 @@ def degeneracy_point(i: int, p: CyclicPoint) -> CyclicPoint:
     return CyclicPoint(p.m, p.rbar, t[:i + 1] + (Fraction(0),) + t[i + 1:])
 
 
-def act_on_point(w: WordInput, p: CyclicPoint, m: int | None = None) -> CyclicPoint:
+def act_on_point(w: str | CyclicWord, p: CyclicPoint,
+                 m: int | None = None) -> CyclicPoint:
     if isinstance(w, str):
         w = parse_word(w, m if m is not None else p.m, p.q)
     if w.m != p.m:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .rational import InvariantViolation, MismatchError
 
@@ -161,9 +161,6 @@ class CyclicElem:
         return self.exponent == 0
 
 
-Member = "CyclicElem | Perm"
-
-
 def _member_compatible(a, b) -> bool:
     if isinstance(a, CyclicElem) and isinstance(b, CyclicElem):
         return a.order == b.order
@@ -288,21 +285,3 @@ class GroupAction:
 
 def orbit_canon(action: GroupAction, point, key: Callable = None):
     return action.canon(point, key=key)
-
-
-def orbit_sweep(points: Iterable[T], transforms: Callable[[T], Iterable[T]]) -> dict:
-    """Map each point to its orbit's canonical (minimal) member.
-
-    Generates each orbit once: cost O(#orbits * |G|) transform calls plus one
-    dict lookup per point.  Points must be hashable and comparable.
-    """
-    canon: dict = {}
-    for p in points:
-        if p in canon:
-            continue
-        orbit = set(transforms(p))
-        orbit.add(p)
-        rep = min(orbit)
-        for q in orbit:
-            canon[q] = rep
-    return canon

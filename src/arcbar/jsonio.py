@@ -4,7 +4,7 @@ values.  Parsing validates every invariant and names the violated one."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 from .barcalc import FinCmMonoid
 from .circle import ArcSystem, SystemWithPerm
@@ -15,8 +15,22 @@ from .operads import (COMPACT, LITTLE_DISKS, AssocElem, CompactElem,
 from .rational import InvariantViolation, Turn, parse_rat, rat_str
 
 
+T = TypeVar("T")
+
+
 class SchemaError(ValueError):
     pass
+
+
+def parse_input(parse: Callable[[Any], T], value: Any, what: str) -> T:
+    """Apply `parse` to untrusted input: malformed input of any shape raises
+    a SchemaError naming `what` and the violated invariant."""
+    try:
+        return parse(value)
+    except SchemaError:
+        raise
+    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
+        raise SchemaError(f"invalid {what}: {exc}") from exc
 
 
 def _need(obj: dict, key: str) -> Any:
@@ -191,17 +205,17 @@ def operad_elem_from_json(obj: dict):
 # -- round trip -------------------------------------------------------------
 
 _KINDS = {
-    "rat": (lambda s: rat_str(parse_rat(s)),),
-    "turn": (lambda o: turn_to_json(turn_from_json(o)),),
-    "perm": (lambda o: perm_to_json(perm_from_json(o)),),
-    "wreath": (lambda o: wreath_to_json(wreath_from_json(o)),),
-    "arc-system": (lambda o: arc_system_to_json(arc_system_from_json(o)),),
-    "system-with-perm": (
-        lambda o: system_with_perm_to_json(system_with_perm_from_json(o)),),
-    "cyclic-point": (lambda o: point_to_json(point_from_json(o)),),
-    "cyclic-word": (lambda o: word_to_json(word_from_json(o)),),
-    "monoid": (lambda o: monoid_to_json(monoid_from_json(o)),),
-    "operad": (lambda o: operad_elem_to_json(operad_elem_from_json(o)),),
+    "rat": lambda s: rat_str(parse_rat(s)),
+    "turn": lambda o: turn_to_json(turn_from_json(o)),
+    "perm": lambda o: perm_to_json(perm_from_json(o)),
+    "wreath": lambda o: wreath_to_json(wreath_from_json(o)),
+    "arc-system": lambda o: arc_system_to_json(arc_system_from_json(o)),
+    "system-with-perm":
+        lambda o: system_with_perm_to_json(system_with_perm_from_json(o)),
+    "cyclic-point": lambda o: point_to_json(point_from_json(o)),
+    "cyclic-word": lambda o: word_to_json(word_from_json(o)),
+    "monoid": lambda o: monoid_to_json(monoid_from_json(o)),
+    "operad": lambda o: operad_elem_to_json(operad_elem_from_json(o)),
 }
 
 
@@ -244,10 +258,5 @@ def element_round_trip(obj: Any, kind: str | None = None) -> Any:
         kind = kind or _infer_kind(obj)
     if kind not in _KINDS:
         raise SchemaError(f"unknown element kind {kind!r}")
-    try:
-        out = _KINDS[kind][0](value)
-    except SchemaError:
-        raise
-    except (InvariantViolation, ValueError, KeyError, TypeError) as exc:
-        raise SchemaError(f"invalid {kind}: {exc}") from exc
+    out = parse_input(_KINDS[kind], value, kind)
     return {"kind": kind, "value": out} if wrapped else out

@@ -119,9 +119,6 @@ class CompactElem:
         return len(self.u_pairs)
 
 
-OperadElem = "AssocElem | DiskTuple | FramedTuple | SemidirectElem | CompactElem"
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -141,18 +138,17 @@ def _check_disjoint(pairs: Sequence[Pair]) -> None:
                     f"open images of disks {i} and {j} overlap")
 
 
-def validate_disk_tuple(d: DiskTuple, open_disk: bool = True) -> None:
-    """Interval invariants; open_disk selects the open-disjointness reading.
+def validate_disk_tuple(d: DiskTuple) -> None:
+    """Interval invariants under the open-disjointness reading.
 
     For positive radii in one dimension the open and boundary-contact
-    conventions impose the same parameter constraints; the flag is kept so
-    both definitions stay on the surface.
+    conventions impose the same parameter constraints.
     """
     for v, r in d.pairs:
         if not (0 < r <= 1):
             raise InvariantViolation(f"radius {r} outside (0, 1]")
         _check_into_unit(v, r)
-        if open_disk and not (abs(v) < 1):
+        if not (abs(v) < 1):
             raise InvariantViolation(f"center {v} not in the open disk")
     _check_disjoint(d.pairs)
 

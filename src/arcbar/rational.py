@@ -10,7 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 # The exact rational scalar.  `fractions.Fraction` already guarantees lowest
 # terms, positive denominator, and arbitrary-precision integer arithmetic.
@@ -104,9 +104,6 @@ class Turn:
                 f"{new_modulus} does not divide modulus {self.modulus}")
         return Turn(self.value, new_modulus)
 
-    def congruent(self, other: "Turn", modulus: Rat) -> bool:
-        return mod_frac(self.value - other.value, Fraction(modulus)) == 0
-
 
 def circular_distance(a: Rat, b: Rat, modulus: Rat) -> Rat:
     """Shorter arc length between two angles on a circle of the given modulus."""
@@ -197,9 +194,3 @@ def draw_composition(rng: random.Random, total: Rat, parts: int, den: int,
             return draw_composition(rng, total, parts, den, allow_zero)
     return tuple(out)
 
-
-def prod(xs: Iterable[Rat]) -> Rat:
-    out = ONE
-    for x in xs:
-        out *= x
-    return out

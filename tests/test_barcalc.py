@@ -8,15 +8,17 @@ from fractions import Fraction as F
 import pytest
 
 from arcbar.barcalc import (BASE_WORD, BarComplex, EMPTY_WORD, FreeMonoid,
-                            FreeWord, LabeledOrbit, check_thm_cycbar_free,
+                            FreeWord, LabeledOrbit, _canon_slots,
+                            _canon_twists, _lambda_canon, check_thm_cycbar_free,
                             compressed_cc, cyclic_degeneracy, cyclic_face,
                             cyclic_twist, labeled_orbit, lambda_class_to_orbit,
-                            map_c_to_l, pair_orbit_elements,
-                            pointed_cyclic_monoid, pointed_set,
+                            map_c_to_l, pointed_cyclic_monoid, pointed_set,
                             split_orbit_element, standard_monoids,
                             twist_order, verify_cyclic_object)
-from arcbar.circle import circle_act, sample_ucc, system
-from arcbar.cyclic import circle_act_point
+from arcbar.circle import (circle_act, sample_ucc, sample_uec, system,
+                           wreath_act)
+from arcbar.cyclic import circle_act_point, sample_point, twist_point
+from arcbar.groups import GroupAction, act_labels, upsilon, znwrcm_elements
 from arcbar.rational import InvariantViolation, Turn
 
 
@@ -198,6 +200,22 @@ def test_overflow_reported_distinctly():
     assert bar.face(1, 0, wide) == ("g0", "g0")  # evaluation still fine
 
 
+def _diagonal_act(coeffs):
+    """The diagonal action of Z_n wr C_m on (arc system, labels) pairs."""
+    def act(g, pt):
+        x, labels = pt
+        return (wreath_act(g, x),
+                act_labels(g, labels, lambda c, y: coeffs.sigma_pow(y, c.exponent)))
+    return act
+
+
+def _brute_orbit(coeffs, x, labels):
+    """Least (space, labels) over the whole wreath group, by enumeration."""
+    action = GroupAction(tuple(znwrcm_elements(x.n, x.m)), _diagonal_act(coeffs))
+    return action.canon((x, tuple(labels)),
+                        key=lambda pt: (pt[0].sort_key(), pt[1]))
+
+
 def test_labeled_orbit_basics():
     R = pointed_cyclic_monoid("c2", 2, 2)
     x0 = system(2, [], [], "uEc")
@@ -208,10 +226,9 @@ def test_labeled_orbit_basics():
     orb = labeled_orbit(R, x, ["g1", "g0"])
     assert orb.kind == "point"
     # orbit invariance under every group element
-    group = pair_orbit_elements(2, 2)
-    from arcbar.barcalc import _pair_act
-    for g in group:
-        x2, l2 = _pair_act(g, x, ("g1", "g0"), R)
+    act = _diagonal_act(R)
+    for g in znwrcm_elements(2, 2):
+        x2, l2 = act(g, (x, ("g1", "g0")))
         assert labeled_orbit(R, x2, l2) == orb
 
 
@@ -219,13 +236,8 @@ def test_labeled_orbit_translate_example():
     # the orbit of (x, (a, b)) equals the orbit of its distinguished translate
     R = pointed_cyclic_monoid("c2", 2, 2)
     x = system(2, [(0, 0), (F(1, 8), 0)], [F(1, 8), F(3, 8)], "uCc")
-    from arcbar.barcalc import _pair_act
-    u = None
-    for g in pair_orbit_elements(2, 2):
-        if g.perm.images == (1, 0):
-            u = g
-            break
-    x2, l2 = _pair_act(u, x, ("g1", "g0"), R)
+    u = next(g for g in znwrcm_elements(2, 2) if g.perm.images == (1, 0))
+    x2, l2 = _diagonal_act(R)(u, (x, ("g1", "g0")))
     assert labeled_orbit(R, x, ["g1", "g0"]) == labeled_orbit(R, x2, l2)
 
 
@@ -243,17 +255,17 @@ def test_map_c_to_l_well_defined_and_invertible():
     for m, n in [(1, 1), (2, 2), (3, 2), (2, 3)]:
         X = pointed_set("X", ["x", "y"], m,
                         {"x": "y", "y": "x"} if m % 2 == 0 else {})
-        group = pair_orbit_elements(m, n)
-        from arcbar.barcalc import _pair_act
+        group = tuple(znwrcm_elements(n, m))
+        act = _diagonal_act(X)
         for _ in range(25):
             x = sample_ucc(rng, m, n)
             labels = tuple(rng.choice(("x", "y")) for _ in range(n))
-            orb = labeled_orbit(X, x, labels, group)
+            orb = labeled_orbit(X, x, labels)
             img = map_c_to_l(X, orb)
             # independence of the representative
             for g in itertools.islice(group, 0, None, max(1, len(group) // 6)):
-                x2, l2 = _pair_act(g, x, labels, X)
-                assert map_c_to_l(X, labeled_orbit(X, x2, l2, group)) == img
+                x2, l2 = act(g, (x, labels))
+                assert map_c_to_l(X, labeled_orbit(X, x2, l2)) == img
             # the explicit inverse returns the same orbit
             assert lambda_class_to_orbit(X, img) == orb
 
@@ -271,7 +283,6 @@ def test_map_c_to_l_unit_and_base():
 def test_map_c_to_l_circle_equivariant():
     rng = random.Random(4)
     X = pointed_set("X", ["x", "y"], 2, {"x": "y", "y": "x"})
-    from arcbar.barcalc import _lambda_canon
     for _ in range(50):
         n = rng.randint(1, 3)
         x = sample_ucc(rng, 2, n)
@@ -326,6 +337,156 @@ def test_thm_cycbar_two_arc_lattice_count():
     assert out.ok
     assert out.per_degree[1] == {"n": 2, "left_classes": 10,
                                  "right_classes": 10}
+
+
+def _cycled_letters(letters: str, m: int):
+    """Letters with sigma cycling the first min(m, len(letters)) of them: a
+    C_m-action of order m for m <= len(letters)."""
+    k = min(m, len(letters))
+    return pointed_set("L", list(letters), m,
+                       {letters[i]: letters[(i + 1) % k] for i in range(k)})
+
+
+def test_labeled_orbit_equals_brute_force():
+    # closed form against the minimum over all n * m^n wreath elements, on
+    # zero-radius and positive-radius systems
+    rng = random.Random(11)
+    pairs = [(m, n) for m in range(1, 6) for n in range(1, 9) if n * m ** n <= 400]
+    for m, n in pairs:
+        X = _cycled_letters("abcde", m)
+        for k in range(6):
+            x = sample_ucc(rng, m, n) if k % 2 else sample_uec(rng, m, n)
+            labels = tuple(rng.choice(X.nonbase()) for _ in range(n))
+            orb = labeled_orbit(X, x, labels)
+            assert (orb.space, orb.labels) == _brute_orbit(X, x, labels), (m, n, k)
+
+
+def test_lambda_canon_equals_brute_force():
+    # closed form against the minimum over all m * n powers of the twist
+    # paired with the distinguished wreath element on the labels
+    rng = random.Random(12)
+    for m in range(1, 6):
+        X = _cycled_letters("abcde", m)
+        for n in range(1, 6):
+            ups = upsilon(m, n)
+
+            def act(k, pt):
+                p, labels = pt
+                for _ in range(k):
+                    p = twist_point(p)
+                    labels = act_labels(ups, labels,
+                                        lambda c, y: X.sigma_pow(y, c.exponent))
+                return p, labels
+
+            action = GroupAction(tuple(range(m * n)), act)
+            for _ in range(4):
+                p = sample_point(rng, m, n - 1)
+                labels = tuple(rng.choice(X.nonbase()) for _ in range(n))
+                cls = _lambda_canon(X, p, labels)
+                want = action.canon((p, labels),
+                                    key=lambda pt: (pt[0].sort_key(), pt[1]))
+                assert (cls.point, cls.labels) == want, (m, n)
+
+
+def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Ordered splittings of `total` into `parts` nonnegative integers."""
+    return [tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
+            for cuts in itertools.combinations_with_replacement(
+                range(total + 1), parts - 1)]
+
+
+def _full_space_lattice(n: int, m: int, den: int, letters):
+    """Encoded zero-radius systems: centers on the 1/(m*den) grid of the
+    circle, gaps on the 1/den grid of the quotient circumference."""
+    scale = m * den
+    for z0 in range(scale):
+        for ps in _compositions(den, n):
+            for shifts in itertools.product(range(m), repeat=n - 1):
+                zs = [z0]
+                for j in range(n - 1):
+                    zs.append((zs[-1] + ps[j] + shifts[j] * den) % scale)
+                for labels in itertools.product(letters, repeat=n):
+                    yield tuple(zs), ps, labels
+
+
+def _orbit_sweep(points, transforms) -> dict:
+    """Each point mapped to the least member of its orbit, one orbit at a time."""
+    canon: dict = {}
+    for p in points:
+        if p not in canon:
+            orbit = set(transforms(p)) | {p}
+            rep = min(orbit)
+            canon.update(dict.fromkeys(orbit, rep))
+    return canon
+
+
+@pytest.mark.parametrize("m, n_max", [(1, 3), (2, 3), (3, 2)])
+def test_encoded_canonical_forms_equal_orbit_sweep(m, n_max):
+    den, scale = 4, 4 * m
+    X = _cycled_letters("xyz", m)
+    sig = X.sigma_pow
+    for n in range(1, n_max + 1):
+        group = [(k, cs) for k in range(n)
+                 for cs in itertools.product(range(m), repeat=n)]
+
+        def wreath(pt):
+            # slot j moves to slot j + k with its center turned by c_j / m
+            zs, ps, labels = pt
+            for k, cs in group:
+                src = [(i - k) % n for i in range(n)]
+                yield (tuple((zs[j] + cs[j] * den) % scale for j in src),
+                       tuple(ps[j] for j in src),
+                       tuple(sig(labels[j], cs[j]) for j in src))
+
+        points = list(_full_space_lattice(n, m, den, X.nonbase()))
+        sweep = _orbit_sweep(points, lambda pt: list(wreath(pt)))
+        for zs, ps, labels in points:
+            assert _canon_slots(zs, (ps,), labels, den, sig) == sweep[zs, ps, labels]
+
+        def twists(pt):
+            # the twist on the point, the distinguished wreath element on labels
+            out = []
+            for _ in range(m * n):
+                rbar, ts, labels = pt
+                pt = ((rbar - ts[-1]) % scale, (ts[-1],) + ts[:-1],
+                      (sig(labels[-1], -1),) + labels[:-1])
+                out.append(pt)
+            return out
+
+        points = [(rbar, ts, labels) for rbar in range(scale)
+                  for ts in _compositions(den, n)
+                  for labels in itertools.product(X.nonbase(), repeat=n)]
+        sweep = _orbit_sweep(points, twists)
+        for rbar, ts, labels in points:
+            assert _canon_twists(rbar, ts, labels, den, sig) == sweep[rbar, ts, labels]
+
+
+def _burnside_classes(n: int, den: int, letters) -> int:
+    """Orbits of the order-n rotation rho(r, t, l) = (r - t_n, rotated t,
+    rotated l) on Z_den x Comp(den, n) x L^n, by Burnside's lemma."""
+    fixed = 0
+    for k in range(n):
+        for r in range(den):
+            for t in _compositions(den, n):
+                for lab in itertools.product(letters, repeat=n):
+                    r2, t2, l2 = r, t, lab
+                    for _ in range(k):
+                        r2 = (r2 - t2[-1]) % den
+                        t2, l2 = t2[-1:] + t2[:-1], l2[-1:] + l2[:-1]
+                    fixed += (r2, t2, l2) == (r, t, lab)
+    assert fixed % n == 0
+    return fixed // n
+
+
+def test_thm_cycbar_counts_match_burnside():
+    burnside = [_burnside_classes(n, 4, "xyz") for n in range(1, 5)]
+    assert burnside == [12, 90, 540, 2835]
+    for m in range(1, 4):
+        X = _cycled_letters("xyz", m)
+        out = check_thm_cycbar_free(X, 4, m, 4, verify_reps=5)
+        assert out.ok, out.failures
+        assert [e["left_classes"] for e in out.per_degree] == burnside
+        assert [e["right_classes"] for e in out.per_degree] == burnside
 
 
 def test_coequalizer_routes_agree():

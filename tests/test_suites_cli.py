@@ -199,3 +199,40 @@ def test_cli_workbench_seed_env(monkeypatch, capsys):
     assert cli.main(["suite", "embed-compose", "--trials", "10"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["config"]["seed"] == 7
+
+
+_SYSTEM = {"m": 1, "variant": "uEc", "pairs": [{"zeta": "0", "r": "1/8"}],
+           "phi": ["1"]}
+_DISKS = {"instance": "dR", "pairs": [{"v": "0", "r": "1/2"}]}
+
+
+@pytest.mark.parametrize("argv, env_seed", [
+    pytest.param(["cyclic", "normalize", "--word", "dx", "--m", "2", "--q", "1"],
+                 None, id="word-dx"),
+    pytest.param(["cyclic", "normalize", "--word", "t9x", "--m", "2", "--q", "1"],
+                 None, id="word-t9x"),
+    pytest.param(["cyclic", "normalize", "--word", "s0..t1", "--m", "2", "--q", "1"],
+                 None, id="word-empty-token"),
+    pytest.param(["cyclic", "act", "--word", "dx.t0", "--point",
+                  json.dumps({"m": 1, "rbar": "0", "simplex": ["1"]})],
+                 None, id="act-word-dx"),
+    pytest.param(["embed", "compose", "--outer", json.dumps(_SYSTEM),
+                  "--inner", '[["1/0", "1/2"]]'], None, id="inner-1/0"),
+    pytest.param(["embed", "act", "--system", json.dumps(_SYSTEM), "--theta", "1/0"],
+                 None, id="theta-1/0"),
+    pytest.param(["embed", "act", "--system", json.dumps({**_SYSTEM, "m": "two"})],
+                 None, id="system-m-two"),
+    pytest.param(["embed", "retract", "--system", "no-such-file.json"],
+                 None, id="system-missing-file"),
+    pytest.param(["operad", "compose", "--instance", "dR",
+                  "--outer", json.dumps({**_DISKS, "pairs": 3}),
+                  "--inner", json.dumps(_DISKS)], None, id="outer-pairs-int"),
+    pytest.param(["suite", "embed-compose", "--trials", "1"], "seven",
+                 id="env-seed-seven"),
+])
+def test_cli_malformed_input_exits_2(monkeypatch, capsys, argv, env_seed):
+    if env_seed is not None:
+        monkeypatch.setenv("WORKBENCH_SEED", env_seed)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
