@@ -22,6 +22,21 @@ from .rational import InvariantViolation, MismatchError, Turn
 # finite pointed C_m-monoids
 # ---------------------------------------------------------------------------
 
+def _sigma_powers(elements: Sequence[str], sigma_table: Sequence[str],
+                  m: int) -> dict[str, tuple[str, ...]]:
+    """The table x -> (x, sigma x, ..., sigma^(m-1) x) of a bijection sigma;
+    raises unless sigma^m = id."""
+    sigma = dict(zip(elements, sigma_table))
+    table = {}
+    for e in elements:
+        powers = [e]
+        for _ in range(m - 1):
+            powers.append(sigma[powers[-1]])
+        if sigma[powers[-1]] != e:
+            raise InvariantViolation("sigma order does not divide m")
+        table[e] = tuple(powers)
+    return table
+
 
 @dataclass(frozen=True)
 class FinCmMonoid:
@@ -51,10 +66,7 @@ class FinCmMonoid:
         return self.sigma_table[self.index(a)]
 
     def sigma_pow(self, a: str, k: int) -> str:
-        # validation guarantees sigma^m = id, so exponents reduce mod m
-        for _ in range(k % self.m):
-            a = self.sigma(a)
-        return a
+        return self._powers[a][k % self.m]  # type: ignore[attr-defined]
 
     def product(self, xs: Sequence[str]) -> str:
         out = self.unit
@@ -98,12 +110,8 @@ class FinCmMonoid:
                 if self.sigma(self.multiply(a, b)) != \
                         self.multiply(self.sigma(a), self.sigma(b)):
                     raise InvariantViolation("sigma is not a monoid map")
-        for a in es:
-            cur = a
-            for _ in range(self.m):
-                cur = self.sigma(cur)
-            if cur != a:
-                raise InvariantViolation("sigma order does not divide m")
+        object.__setattr__(self, "_powers",
+                           _sigma_powers(es, self.sigma_table, self.m))
 
 
 def pointed_cyclic_monoid(name: str, k: int, m: int, sigma_mult: int = 1) -> FinCmMonoid:
@@ -305,13 +313,8 @@ class PointedCmSet:
             raise InvariantViolation("sigma must be a bijection")
         if self.sigma(self.base) != self.base:
             raise InvariantViolation("sigma must fix the basepoint")
-        x = dict(zip(self.elements, self.sigma_table))
-        for e in self.elements:
-            cur = e
-            for _ in range(self.m):
-                cur = x[cur]
-            if cur != e:
-                raise InvariantViolation("sigma order does not divide m")
+        object.__setattr__(self, "_powers",
+                           _sigma_powers(self.elements, self.sigma_table, self.m))
 
     def index(self, x: str) -> int:
         return self._index[x]  # type: ignore[attr-defined]
@@ -320,9 +323,7 @@ class PointedCmSet:
         return self.sigma_table[self.index(x)]
 
     def sigma_pow(self, x: str, k: int) -> str:
-        for _ in range(k % self.m):
-            x = self.sigma(x)
-        return x
+        return self._powers[x][k % self.m]  # type: ignore[attr-defined]
 
     def nonbase(self) -> tuple[str, ...]:
         return tuple(e for e in self.elements if e != self.base)
@@ -644,7 +645,8 @@ def map_c_to_l(coeffs, orbit: LabeledOrbit) -> LambdaClass:
         return LambdaClass(orbit.m, orbit.n, None, None, "base")
     if orbit.kind == "unit":
         return LambdaClass(orbit.m, 0, None, None, "unit")
-    assert orbit.space is not None and orbit.labels is not None
+    if orbit.space is None or orbit.labels is None:
+        raise InvariantViolation("a point orbit needs a space and labels")
     aligned, g0 = align_ucc(orbit.space)
     labels = act_labels(g0, orbit.labels,
                         lambda c, y: _label_act(c, y, coeffs))
@@ -658,7 +660,8 @@ def lambda_class_to_orbit(coeffs, cls: LambdaClass) -> LabeledOrbit:
         return LabeledOrbit(cls.m, cls.n, None, None, "base")
     if cls.kind == "unit":
         return LabeledOrbit(cls.m, 0, None, None, "unit")
-    assert cls.point is not None and cls.labels is not None
+    if cls.point is None or cls.labels is None:
+        raise InvariantViolation("a point class needs a point and labels")
     return labeled_orbit(coeffs, lambda_to_ucc(cls.point), cls.labels)
 
 
@@ -684,8 +687,7 @@ def _encode_space(x: ArcSystem, labels, coeffs, den: int):
             raise InvariantViolation("system is not on the lattice")
         zs.append(int(v) % scale)
     ps = []
-    assert x.phi is not None
-    for p in x.phi:
+    for p in x.gaps:
         v = p * scale
         if v.denominator != 1:
             raise InvariantViolation("system is not on the lattice")

@@ -20,7 +20,8 @@ from typing import Sequence
 
 from .groups import CyclicElem, Perm, WreathElem, slot_act
 from .rational import (InvariantViolation, MismatchError, Turn, _draw_rat,
-                       draw_composition, images_overlap, mod_frac)
+                       check_nonzero_composition, draw_composition,
+                       images_overlap, mod_frac, rat)
 
 Pair = tuple[Turn, Fraction]
 UPairs = Sequence[tuple[Fraction, Fraction]]
@@ -40,7 +41,7 @@ class ArcSystem:
     def __post_init__(self) -> None:
         object.__setattr__(self, "pairs", tuple(self.pairs))
         if self.phi is not None:
-            object.__setattr__(self, "phi", tuple(Fraction(p) for p in self.phi))
+            object.__setattr__(self, "phi", tuple(map(rat, self.phi)))
         self.validate()
 
     @property
@@ -57,6 +58,13 @@ class ArcSystem:
 
     def radii(self) -> tuple[Fraction, ...]:
         return tuple(r for _, r in self.pairs)
+
+    @property
+    def gaps(self) -> tuple[Fraction, ...]:
+        """The gap angles, which every variant except ``E`` and ``uE`` carries."""
+        if self.phi is None:
+            raise MismatchError(f"variant {self.variant} carries no gap angles")
+        return self.phi
 
     def sort_key(self):
         return (self.m, self.n, self.variant,
@@ -85,10 +93,11 @@ class ArcSystem:
         if self.n == 0:
             return
         q = self.quantum
+        half = q / 2
         strict_r = self.variant in ("E", "uE", "uEprime")
         for _, r in self.pairs:
-            if r < 0 or r > q / 2 or (strict_r and r == 0):
-                bound = f"(0, {q / 2}]" if strict_r else f"[0, {q / 2}]"
+            if r < 0 or r > half or (strict_r and r == 0):
+                bound = f"(0, {half}]" if strict_r else f"[0, {half}]"
                 raise InvariantViolation(f"radius {r} outside {bound}")
         if self.variant == "uCc" and any(r != 0 for _, r in self.pairs):
             raise InvariantViolation("uCc requires all radii zero")
@@ -101,18 +110,21 @@ class ArcSystem:
                 raise InvariantViolation(
                     "centers not in counterclockwise order starting at index 0")
         if self.phi is not None:
-            self._check_gaps()
+            self._check_gaps(self.phi)
 
     def _check_images(self) -> None:
+        # Coincident zero-radius images are admitted, so a pair of zero radii
+        # can never fail; a system with no positive radius needs no check.
+        rs = self.radii()
+        if not any(rs):
+            return
         q = self.quantum
         cls = [z.reduced(q) for z, _ in self.pairs]
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                ri, rj = self.pairs[i][1], self.pairs[j][1]
-                if images_overlap(cls[i], ri, cls[j], rj):
-                    if not (ri == 0 and rj == 0):
-                        raise InvariantViolation(
-                            f"images of arcs {i} and {j} overlap with positive radius")
+                if (rs[i] or rs[j]) and images_overlap(cls[i], rs[i], cls[j], rs[j]):
+                    raise InvariantViolation(
+                        f"images of arcs {i} and {j} overlap with positive radius")
 
     def _consecutive_gaps(self) -> list[Fraction]:
         q = self.quantum
@@ -121,20 +133,20 @@ class ArcSystem:
         zs = [z.value for z, _ in self.pairs]
         return [mod_frac(zs[(j + 1) % self.n] - zs[j], q) for j in range(self.n)]
 
-    def _check_gaps(self) -> None:
+    def _check_gaps(self, phi: tuple[Fraction, ...]) -> None:
         q = self.quantum
-        assert self.phi is not None
-        for p in self.phi:
+        for p in phi:
             if p < 0 or p > q:
                 raise InvariantViolation(f"gap {p} outside [0, {q}]")
-        if sum(self.phi) != q:
+        if sum(phi) != q:
             raise InvariantViolation(
-                f"gap-sum invariant violated: sum(phi) = {sum(self.phi)} != {q}")
+                f"gap-sum invariant violated: sum(phi) = {sum(phi)} != {q}")
         zs = [z.value for z, _ in self.pairs]
         for j in range(self.n):
             lhs = zs[(j + 1) % self.n]
-            rhs = zs[j] + self.phi[j]
-            if mod_frac(lhs - rhs, q) != 0:
+            rhs = zs[j] + phi[j]
+            # congruent mod 1/m  <=>  m * (lhs - rhs) is an integer
+            if ((lhs - rhs) * self.m).denominator != 1:
                 raise InvariantViolation(
                     f"center {j + 1} is not center {j} rotated by its gap (mod 1/m)")
 
@@ -190,7 +202,8 @@ def compose_uec(outer: ArcSystem, inners: Sequence[UPairs]) -> ArcSystem:
     between blocks, wrap-around), with runs of empty blocks accumulating
     their gap contributions.
     """
-    if outer.variant not in ("uEprime", "uEc", "uCc"):
+    phi = outer.phi
+    if phi is None:
         raise MismatchError("outer system must carry gap angles")
     if len(inners) != outer.n:
         raise MismatchError(
@@ -201,8 +214,6 @@ def compose_uec(outer: ArcSystem, inners: Sequence[UPairs]) -> ArcSystem:
     total = sum(sizes)
     if total == 0:
         return ArcSystem(m, (), (), "uEc")
-    phi = outer.phi
-    assert phi is not None
 
     pairs: list[Pair] = []
     flat: list[tuple[int, int]] = []  # flat index -> (block, slot)
@@ -298,9 +309,9 @@ def retract_step(x: "ArcSystem | SystemWithPerm") -> "ArcSystem | SystemWithPerm
         raise InvariantViolation("retraction is defined on zero-radius systems")
     if x.n == 0:
         return x
-    assert x.phi is not None
-    pairs = tuple((z + p / 2, r) for (z, r), p in zip(x.pairs, x.phi))
-    phi = tuple((x.phi[j] + x.phi[(j + 1) % x.n]) / 2 for j in range(x.n))
+    gaps = x.gaps
+    pairs = tuple((z + p / 2, r) for (z, r), p in zip(x.pairs, gaps))
+    phi = tuple((gaps[j] + gaps[(j + 1) % x.n]) / 2 for j in range(x.n))
     return ArcSystem(x.m, pairs, phi, x.variant)
 
 
@@ -366,25 +377,33 @@ def from_pair(p: SystemWithPerm) -> ArcSystem:
 def sample_uec(rng: random.Random, m: int, n: int, den: int = 8,
                allow_zero_gaps: bool = True, allow_zero_radii: bool = True,
                spread: bool = True) -> ArcSystem:
-    """Seeded random point of the compactified ordered configuration space."""
+    """Seeded random point of the compactified ordered configuration space.
+
+    With allow_zero_radii=False the whole point is drawn again until every
+    radius is positive; raises InvariantViolation when that cannot happen.
+    """
     if n == 0:
         return ArcSystem(m, (), (), "uEc")
     q = Fraction(1, m)
-    phi = draw_composition(rng, q, n, den, allow_zero=allow_zero_gaps)
-    z0 = _draw_rat(rng, den, Fraction(0), Fraction(1))
-    zs = [Turn(z0)]
-    for j in range(n - 1):
-        shift = Fraction(rng.randrange(m), m) if (spread and m > 1) else Fraction(0)
-        zs.append(zs[-1] + phi[j] + shift)
-    radii = []
-    for j in range(n):
-        cap = min(phi[j - 1], phi[j]) / 2 if n > 1 else q / 2
-        if cap == 0 or (allow_zero_radii and rng.randrange(5) < 2):
-            radii.append(Fraction(0))
-        else:
-            radii.append(_draw_rat(rng, den, Fraction(0), Fraction(1)) * cap)
-    if not allow_zero_radii and any(r == 0 for r in radii):
-        return sample_uec(rng, m, n, den, allow_zero_gaps, allow_zero_radii, spread)
+    if not allow_zero_radii and n > 1:
+        # a positive radius needs both neighbouring gaps positive
+        check_nonzero_composition(q, n, den)
+    while True:
+        phi = draw_composition(rng, q, n, den, allow_zero=allow_zero_gaps)
+        z0 = _draw_rat(rng, den, Fraction(0), Fraction(1))
+        zs = [Turn(z0)]
+        for j in range(n - 1):
+            shift = Fraction(rng.randrange(m), m) if (spread and m > 1) else Fraction(0)
+            zs.append(zs[-1] + phi[j] + shift)
+        radii = []
+        for j in range(n):
+            cap = min(phi[j - 1], phi[j]) / 2 if n > 1 else q / 2
+            if cap == 0 or (allow_zero_radii and rng.randrange(5) < 2):
+                radii.append(Fraction(0))
+            else:
+                radii.append(_draw_rat(rng, den, Fraction(0), Fraction(1)) * cap)
+        if allow_zero_radii or all(radii):
+            break
     pairs = tuple((z, r) for z, r in zip(zs, radii))
     variant = "uCc" if all(r == 0 for r in radii) else "uEc"
     return ArcSystem(m, pairs, phi, variant)

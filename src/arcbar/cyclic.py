@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import CyclicElem, Perm, WreathElem, upsilon
-from .rational import (InvariantViolation, MismatchError, Turn, _draw_rat,
-                       draw_composition)
+from .rational import (ZERO, InvariantViolation, MismatchError, Turn, _draw_rat,
+                       draw_composition, rat)
 from .circle import ArcSystem, wreath_act
 
 
@@ -248,7 +248,7 @@ class CyclicPoint:
     simplex: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "simplex", tuple(Fraction(t) for t in self.simplex))
+        object.__setattr__(self, "simplex", tuple(map(rat, self.simplex)))
         if self.rbar.modulus != self.m:
             raise InvariantViolation("base angle must be reduced mod m")
         if not self.simplex:
@@ -333,16 +333,16 @@ def lambda_to_ucc(p: CyclicPoint) -> ArcSystem:
         zs.append(Turn(acc / m))
         acc += t
     phi = tuple(t / m for t in p.simplex)
-    pairs = tuple((z, Fraction(0)) for z in zs)
+    pairs = tuple((z, ZERO) for z in zs)
     return ArcSystem(m, pairs, phi, "uCc")
 
 
 def is_aligned(x: ArcSystem) -> bool:
     """Whether consecutive centers differ by exactly the recorded gap on S^1
     (not merely on the quotient circle)."""
-    assert x.phi is not None
+    phi = x.gaps
     for j in range(x.n - 1):
-        if (x.pairs[j][0] + x.phi[j]) != x.pairs[j + 1][0]:
+        if (x.pairs[j][0] + phi[j]) != x.pairs[j + 1][0]:
             return False
     return True
 
@@ -351,11 +351,11 @@ def align_ucc(x: ArcSystem) -> tuple[ArcSystem, WreathElem]:
     """The C_m^n correction g with x * g aligned (identity permutation part)."""
     if x.variant != "uCc":
         raise MismatchError("alignment is for zero-radius systems")
-    assert x.phi is not None
+    phi = x.gaps
     exps = [0]
     target = x.pairs[0][0].value
     for j in range(1, x.n):
-        target = target + x.phi[j - 1]
+        target = target + phi[j - 1]
         diff = (target - x.pairs[j][0].value) * x.m
         if diff.denominator != 1:
             raise InvariantViolation("system violates the gap consistency invariant")
@@ -371,9 +371,8 @@ def ucc_to_lambda(x: ArcSystem) -> CyclicPoint:
         raise MismatchError("inverse comparison needs a nonempty uCc system")
     if not is_aligned(x):
         raise InvariantViolation("system is not aligned; apply align_ucc first")
-    assert x.phi is not None
     rbar = Turn(x.pairs[0][0].value * x.m, Fraction(x.m))
-    simplex = tuple(p * x.m for p in x.phi)
+    simplex = tuple(p * x.m for p in x.gaps)
     return CyclicPoint(x.m, rbar, simplex)
 
 

@@ -31,8 +31,11 @@ class MismatchError(ValueError):
 
 
 def rat(value: RatLike, den: int = 1) -> Rat:
-    """Coerce ints, 'p/q' strings, or Fractions to an exact rational."""
-    if isinstance(value, str):
+    """Coerce ints, 'p/q' strings, or Fractions to an exact rational; a
+    Fraction with den 1 is returned as it is."""
+    if den == 1 and isinstance(value, Fraction):
+        return value
+    if isinstance(value, str) or den == 1:
         return Fraction(value)
     return Fraction(value, den)
 
@@ -53,11 +56,16 @@ def parse_rat(s: str) -> Rat:
 
 
 def mod_frac(x: Rat, modulus: Rat) -> Rat:
-    """Canonical representative of x modulo a positive rational, in [0, modulus)."""
-    if modulus <= 0:
+    """Canonical representative of x modulo a positive rational, in [0, modulus).
+
+    With x = a/b and modulus = c/d over the common denominator b*d, this is
+    ((a*d) mod (b*c)) / (b*d): one integer remainder and one construction.
+    """
+    c, d = modulus.numerator, modulus.denominator
+    if c <= 0:
         raise InvariantViolation("modulus must be positive")
-    n = x / modulus
-    return x - math.floor(n) * modulus
+    a, b = x.numerator, x.denominator
+    return Fraction((a * d) % (b * c), b * d)
 
 
 @dataclass(frozen=True)
@@ -72,9 +80,9 @@ class Turn:
     modulus: Rat = ONE
 
     def __post_init__(self) -> None:
-        modulus = Fraction(self.modulus)
+        modulus = rat(self.modulus)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "value", mod_frac(Fraction(self.value), modulus))
+        object.__setattr__(self, "value", mod_frac(rat(self.value), modulus))
 
     def _check(self, other: "Turn") -> None:
         if self.modulus != other.modulus:
@@ -163,12 +171,14 @@ def _draw_rat(rng: random.Random, bound_den: int, lo: Rat, hi: Rat) -> Rat:
         raise InvariantViolation("denominator bound must be >= 1")
     if lo >= hi:
         raise InvariantViolation("empty range")
-    qs = [q for q in range(1, bound_den + 1) if math.floor(hi * q) >= math.ceil(lo * q)]
+    # floor(hi*q) and ceil(lo*q) by integer floor division
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    qs = [q for q in range(1, bound_den + 1) if hn * q // hd >= -(-ln * q // ld)]
     if not qs:
         raise InvariantViolation(
             f"no rational with denominator <= {bound_den} in [{lo}, {hi}]")
     q = rng.choice(qs)
-    p = rng.randint(math.ceil(lo * q), math.floor(hi * q))
+    p = rng.randint(-(-ln * q // ld), hn * q // hd)
     return Fraction(p, q)
 
 
@@ -182,15 +192,36 @@ def draw_composition(rng: random.Random, total: Rat, parts: int, den: int,
     """Random rational composition of `total` into `parts` nonnegative parts.
 
     Cut-point construction: denominators stay bounded by den * total.denominator.
+    With allow_zero=False the cuts are drawn again until every part is
+    nonzero; a request no cuts can meet raises InvariantViolation.
     """
     if parts < 1:
         raise InvariantViolation("need at least one part")
     total = Fraction(total)
-    cuts = sorted(_draw_rat(rng, den, ZERO, ONE) for _ in range(parts - 1))
-    points = [ZERO] + cuts + [ONE]
-    out = [(points[i + 1] - points[i]) * total for i in range(parts)]
     if not allow_zero:
-        if any(x == 0 for x in out):
-            return draw_composition(rng, total, parts, den, allow_zero)
-    return tuple(out)
+        check_nonzero_composition(total, parts, den)
+    while True:
+        cuts = sorted(_draw_rat(rng, den, ZERO, ONE) for _ in range(parts - 1))
+        points = [ZERO] + cuts + [ONE]
+        out = [(points[i + 1] - points[i]) * total for i in range(parts)]
+        if allow_zero or all(out):
+            return tuple(out)
+
+
+def check_nonzero_composition(total: Rat, parts: int, den: int) -> None:
+    """Raise unless `draw_composition` can give `parts` nonzero parts.
+
+    The parts - 1 cuts must then be distinct rationals in (0, 1) with
+    denominator <= den, of which there are sum(phi(q) for q = 2..den).
+    """
+    if total == 0:
+        raise InvariantViolation("a zero total has no composition into nonzero parts")
+    if parts <= den:  # 1/2, 1/3, ..., 1/den are den - 1 distinct cuts
+        return
+    interior = sum(1 for q in range(2, den + 1) for p in range(1, q)
+                   if math.gcd(p, q) == 1)
+    if parts - 1 > interior:
+        raise InvariantViolation(
+            f"no composition into {parts} nonzero parts with cuts of "
+            f"denominator <= {den}: only {interior} interior cut points")
 

@@ -169,8 +169,7 @@ def run_embed_compose(cfg: RunConfig) -> Report:
         for _ in range(n):
             y = circle.retract_step(y)
         rep.cases += 1
-        assert y.phi is not None
-        if any(p <= 0 for p in y.phi):
+        if any(p <= 0 for p in y.gaps):
             rep.fail("retract-positivity", f"trial {t}")
     x = circle.system(1, [(0, 0), (0, 0)], [1, 0], "uCc")
     y = circle.retract_step(x)

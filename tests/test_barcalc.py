@@ -31,6 +31,21 @@ def test_monoid_construction_and_validation():
         pointed_cyclic_monoid("bad", 3, 3, sigma_mult=-1)  # order 2 map at m=3
 
 
+def test_sigma_pow_table_matches_iterated_sigma():
+    coeffs = [R for m in range(1, 7) for R in standard_monoids(m)]
+    coeffs += [pointed_set("s", ["a", "b", "c"], 6, {"a": "b", "b": "c", "c": "a"}),
+               pointed_set("t", ["x", "y"], 4, {"x": "y", "y": "x"})]
+    for X in coeffs:
+        for x in X.elements:
+            for k in range(-2 * X.m, 2 * X.m + 1):
+                y = x
+                for _ in range(k % X.m):
+                    y = X.sigma(y)
+                assert X.sigma_pow(x, k) == y, (X.name, x, k)
+    with pytest.raises(InvariantViolation):
+        pointed_set("bad", ["a", "b", "c"], 2, {"a": "b", "b": "c", "c": "a"})
+
+
 def test_cyclic_face_examples():
     R = pointed_cyclic_monoid("c2", 2, 1)
     assert cyclic_face(R, 0, ("g1", "g1")) == ("g0",)

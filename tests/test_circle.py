@@ -1,15 +1,19 @@
 """Arc systems: validity, gap coordinates, the compactified composition with
 its worked example, group actions, the retraction, and the ordered-with-
 permutation presentation."""
+import hashlib
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arcbar.circle import (ArcSystem, SystemWithPerm, arc_coords, circle_act,
-                           compose_uec, cyclic_rotate, drop_coords, from_pair,
-                           retract_step, sample_e, sample_ucc, sample_ue,
-                           sample_uec, system, to_pair, wreath_act)
+from arcbar.circle import (VARIANTS, ArcSystem, SystemWithPerm, arc_coords,
+                           circle_act, compose_uec, cyclic_rotate, drop_coords,
+                           from_pair, retract_step, sample_e, sample_ucc,
+                           sample_ue, sample_uec, system, to_pair, wreath_act)
 from arcbar.groups import (CyclicElem, Perm, WreathElem, block_cycle_perm,
                            upsilon, znwrcm_elements)
 from arcbar.operads import sample_ucompact
@@ -271,3 +275,131 @@ def test_retract_with_perm_passthrough():
     assert isinstance(out, SystemWithPerm)
     assert out.perm == Perm((1, 0))
     assert out.base.phi == (F(1, 2), F(1, 2))
+
+
+def test_sample_uec_positive_radii_loop_and_impossible_request():
+    # 54 systems from about 600 compositions, digest recorded when the
+    # rejection was a recursive call: the loop makes the same draws
+    rng = random.Random(11)
+    xs = [sample_uec(rng, m, n, 4, allow_zero_radii=False)
+          for m in (1, 2, 3) for n in (1, 2, 3) for _ in range(6)]
+    assert hashlib.sha256(repr([x.sort_key() for x in xs]).encode()).hexdigest() \
+        == "94694dc7bac0faaa57f9ade2e0798cec4c41e8d872df528972208951364bdcc7"
+    x = sample_uec(random.Random(3), 2, 6, 4, allow_zero_radii=False)
+    assert x.n == 6 and all(r > 0 for r in x.radii())
+    with pytest.raises(InvariantViolation):
+        sample_uec(random.Random(3), 1, 7, 4, allow_zero_radii=False)
+    # one arc needs no positive gap: its cap is half the quotient circle
+    assert sample_uec(random.Random(3), 1, 1, 1, allow_zero_radii=False).radii()[0] > 0
+
+
+# ---------------------------------------------------------------------------
+# validation against a brute-force oracle on lattice systems
+# ---------------------------------------------------------------------------
+
+def _ref_mod(x, modulus):
+    return x - math.floor(x / modulus) * modulus
+
+
+def _oracle_accepts(m, pairs, phi, variant):
+    """ArcSystem validation written out with an image test on every pair and
+    the gap congruence through a floor-based reduction."""
+    n = len(pairs)
+    zs = [_ref_mod(z, 1) for z, _ in pairs]
+    rs = [r for _, r in pairs]
+    if variant in ("E", "uE"):
+        if phi is not None:
+            return False
+    elif phi is None or len(phi) != n:
+        return False
+    if n == 0:
+        return True
+    q = F(1, m)
+    strict = variant in ("E", "uE", "uEprime")
+    if any(r < 0 or r > q / 2 or (strict and r == 0) for r in rs):
+        return False
+    if variant == "uCc" and any(r != 0 for r in rs):
+        return False
+    cls = [_ref_mod(z, q) for z in zs]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = _ref_mod(cls[i] - cls[j], q)
+            d = min(d, q - d)
+            both_zero = rs[i] == 0 and rs[j] == 0
+            overlap = d == 0 if both_zero else d < rs[i] + rs[j]
+            if overlap and not both_zero:
+                return False
+    if variant in ("uE", "uEprime"):
+        gaps = [q] if n == 1 else [_ref_mod(zs[(j + 1) % n] - zs[j], q)
+                                   for j in range(n)]
+        if any(g == 0 for g in gaps) or sum(gaps) != q:
+            return False
+    if phi is not None:
+        if any(p < 0 or p > q for p in phi) or sum(phi) != q:
+            return False
+        for j in range(n):
+            if _ref_mod(zs[(j + 1) % n] - (zs[j] + phi[j]), q) != 0:
+                return False
+    return True
+
+
+@st.composite
+def lattice_systems(draw, cells=8):
+    """(m, pairs, phi, variant) on the lattice of half-cells of 1/(m*cells)
+    turns: consistent gaps and C_m-shifted centers, radii that are zero, fit
+    between the neighbours or are arbitrary (so they may overlap), then
+    optionally a moved center, a moved gap, two swapped centers, an
+    oversized radius or gap data that does not match the variant."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 4))
+    variant = draw(st.sampled_from(VARIANTS))
+    h = F(1, 2 * m * cells)  # half a cell
+    positive = draw(st.booleans())  # distinct interior cuts: no zero gap
+    cuts = sorted(draw(st.lists(st.integers(positive, cells - positive),
+                                min_size=max(n - 1, 0), max_size=max(n - 1, 0),
+                                unique=positive)))
+    gaps = [2 * (b - a) for a, b in zip([0] + cuts, cuts + [cells])][:n]
+    z = draw(st.integers(0, 4 * m * cells - 1)) * h
+    zs = []
+    for g in gaps:
+        zs.append(z)
+        z += g * h + F(draw(st.integers(0, m - 1)), m)
+    mode = draw(st.sampled_from(["zero", "fit", "any"]))
+    radii = []
+    for j in range(n):
+        low, top = 0, cells
+        if mode == "zero":
+            top = 0
+        elif mode == "fit":
+            top = min(gaps[j - 1], gaps[j]) // 2 if n > 1 else cells
+            low = min(1, top)
+        radii.append(draw(st.integers(low, top)) * h)
+    if n and draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, n - 1))
+        zs[k] += draw(st.sampled_from([h, 2 * h, F(1, m)]))
+    if n > 1 and draw(st.integers(0, 3)) == 0:
+        i, k = draw(st.permutations(range(n)))[:2]
+        gaps[i] += 2
+        gaps[k] -= 2
+    if n > 2 and draw(st.integers(0, 3)) == 0:
+        i, k = draw(st.permutations(range(n)))[:2]
+        zs[i], zs[k] = zs[k], zs[i]
+    if n and draw(st.integers(0, 9)) == 0:
+        radii[draw(st.integers(0, n - 1))] = (cells + 1) * h
+    phi = tuple(g * h for g in gaps)
+    if (variant in ("E", "uE")) != (draw(st.integers(0, 9)) == 0):
+        phi = None
+    return m, list(zip(zs, radii)), phi, variant
+
+
+@settings(max_examples=500, deadline=None)
+@given(lattice_systems())
+def test_validation_matches_brute_force_oracle(args):
+    m, pairs, phi, variant = args
+    want = _oracle_accepts(m, pairs, phi, variant)
+    try:
+        system(m, pairs, phi, variant)
+        got = True
+    except InvariantViolation:
+        got = False
+    assert got == want

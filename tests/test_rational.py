@@ -1,4 +1,6 @@
 """Exact scalar, turn, and arc-interval tests."""
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcbar.rational import (ArcInterval, InvariantViolation, MismatchError,
-                             Turn, arcs_overlap, circular_distance, mod_frac,
-                             rat_str, parse_rat, sample_rat)
+                             Turn, _draw_rat, arcs_overlap, circular_distance,
+                             draw_composition, mod_frac, rat_str, parse_rat,
+                             sample_rat)
 
 rats = st.fractions(min_value=-50, max_value=50, max_denominator=16)
 
@@ -102,3 +105,72 @@ def test_sample_rat_contract():
         sample_rat(0, 8, F(1, 2), F(1, 2))
     with pytest.raises(InvariantViolation):
         sample_rat(0, 2, F(1, 3), F(5, 12))
+
+
+@settings(max_examples=300)
+@given(st.fractions(min_value=-1000, max_value=1000, max_denominator=360),
+       st.fractions(min_value=F(1, 720), max_value=50, max_denominator=720))
+def test_mod_frac_matches_floor_reference(x, modulus):
+    expected = x - math.floor(x / modulus) * modulus
+    got = mod_frac(x, modulus)
+    assert got == expected and 0 <= got < modulus
+    assert type(got) is F
+    assert mod_frac(int(x), modulus) == mod_frac(F(int(x)), modulus)
+
+
+def test_mod_frac_rejects_nonpositive_modulus():
+    for modulus in (F(0), F(-1, 2), -3):
+        with pytest.raises(InvariantViolation):
+            mod_frac(F(1, 3), modulus)
+
+
+def _draw_rat_reference(rng, bound_den, lo, hi):
+    """The candidate scan written with Fraction products, floor and ceil."""
+    qs = [q for q in range(1, bound_den + 1)
+          if math.floor(hi * q) >= math.ceil(lo * q)]
+    if not qs:
+        return None
+    q = rng.choice(qs)
+    return F(rng.randint(math.ceil(lo * q), math.floor(hi * q)), q)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 10**6), st.integers(1, 24),
+       st.fractions(min_value=-5, max_value=5, max_denominator=30),
+       st.fractions(min_value=F(1, 30), max_value=3, max_denominator=30))
+def test_draw_rat_matches_fraction_reference(seed, bound_den, lo, width):
+    hi = lo + width
+    a, b = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        want = _draw_rat_reference(a, bound_den, lo, hi)
+        if want is None:
+            with pytest.raises(InvariantViolation):
+                _draw_rat(b, bound_den, lo, hi)
+            return
+        assert _draw_rat(b, bound_den, lo, hi) == want
+    assert a.random() == b.random()  # the same number of draws was made
+
+
+def test_draw_composition_nonzero_terminates_with_the_same_draws():
+    def recursive(rng, total, parts, den):
+        cuts = sorted(_draw_rat(rng, den, F(0), F(1)) for _ in range(parts - 1))
+        points = [F(0)] + cuts + [F(1)]
+        out = [(points[i + 1] - points[i]) * total for i in range(parts)]
+        return recursive(rng, total, parts, den) if 0 in out else tuple(out)
+
+    for seed in range(20):
+        a, b = random.Random(seed), random.Random(seed)
+        assert draw_composition(a, F(1, 2), 3, 4, allow_zero=False) == \
+            recursive(b, F(1, 2), 3, 4)
+        assert a.random() == b.random()
+    # only 1/2, 1/3, 2/3, 1/4, 3/4 are cuts at den 4: every one is needed,
+    # which took more retries than the recursion limit allowed
+    out = draw_composition(random.Random(0), 1, 6, 4, allow_zero=False)
+    assert sorted(out) == [F(1, 12), F(1, 12), F(1, 6), F(1, 6), F(1, 4), F(1, 4)]
+
+
+@pytest.mark.parametrize("total, parts, den", [(1, 7, 4), (1, 2, 1), (0, 1, 8),
+                                               (F(1, 3), 12, 5)])
+def test_draw_composition_impossible_request_raises(total, parts, den):
+    with pytest.raises(InvariantViolation):
+        draw_composition(random.Random(0), total, parts, den, allow_zero=False)

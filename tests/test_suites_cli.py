@@ -1,5 +1,6 @@
 """Suite runner determinism, report contracts, JSON round trips, and the
 command line front end."""
+import hashlib
 import json
 
 import pytest
@@ -27,6 +28,29 @@ def test_suite_determinism():
     a.pop("elapsed_s")
     b.pop("elapsed_s")
     assert a == b
+
+
+# sha256 of the sorted-key JSON report without `elapsed_s`, recorded before the
+# exact-rational hot paths moved to integer arithmetic
+_REPORT_DIGESTS = {
+    ("operad-laws", 3): "f41ad28973d72bfe3dd08d359a2dca452ae9b4e32cdb30ba7951c38bd4ace2fa",
+    ("operad-laws", 17): "e5838e5ab286bd05620cadda8e3827ded1fec3b74d9ae9dd9a0f62ead3c67fa7",
+    ("embed-compose", 3): "35b0dd7d38d72c10a4aa1732d49b25c700cbab55399d68f31500670257a66663",
+    ("embed-compose", 17): "da6b2fc02d83e8f414317c061bcee6842c76b546322a403ec234fd4a57653419",
+    ("lambda-iso", 3): "1060e63c209d77b1b39017f43e01d94e911b60e449c5b6b15e05341afc9bf484",
+    ("lambda-iso", 17): "53548639d67971549d990d028dc611b8995e0044fb9db652f35cc5366cf795fe",
+    ("thm-cycbar", 3): "8503f85f5e8937318d5cee71afa99d14f90e0e50c96fcd5c18f1c905760275ed",
+    ("thm-cycbar", 17): "4c27807438dec94dc68c959ffb4d13f721202e31a92a9cae7b0054f008cc0913",
+}
+
+
+@pytest.mark.parametrize("suite, seed", sorted(_REPORT_DIGESTS))
+def test_report_digest_unchanged(suite, seed):
+    doc = run_suite(RunConfig(suite=suite, seed=seed, trials=8, n_max=2,
+                              q_max=2, m_max=2)).to_json()
+    doc.pop("elapsed_s")
+    blob = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == _REPORT_DIGESTS[suite, seed], doc
 
 
 def test_all_suites_pass_small():
