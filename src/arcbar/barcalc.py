@@ -52,18 +52,20 @@ class FinCmMonoid:
     sigma_table: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_index",
-                           {e: i for i, e in enumerate(self.elements)})
+        # _mul[a][b] = ab and _sig[a] = sigma a, which the bar operators read;
+        # validate rejects ragged or short tables before it reads them
+        object.__setattr__(self, "_mul", {
+            a: dict(zip(self.elements, row))
+            for a, row in zip(self.elements, self.mul_table)})
+        object.__setattr__(self, "_sig",
+                           dict(zip(self.elements, self.sigma_table)))
         self.validate()
 
-    def index(self, x: str) -> int:
-        return self._index[x]  # type: ignore[attr-defined]
-
     def multiply(self, a: str, b: str) -> str:
-        return self.mul_table[self.index(a)][self.index(b)]
+        return self._mul[a][b]  # type: ignore[attr-defined]
 
     def sigma(self, a: str) -> str:
-        return self.sigma_table[self.index(a)]
+        return self._sig[a]  # type: ignore[attr-defined]
 
     def sigma_pow(self, a: str, k: int) -> str:
         return self._powers[a][k % self.m]  # type: ignore[attr-defined]
@@ -162,24 +164,38 @@ def collapse(R: FinCmMonoid, t: Tuple_) -> Tuple_:
     return t
 
 
+# The operators read the tables `R._mul` and `R._sig` and collapse inline.  A
+# result holds the basepoint exactly when `t` does or a new product is the
+# basepoint: the basepoint absorbs, and sigma is a bijection fixing it.
+
 def cyclic_twist(R: FinCmMonoid, t: Tuple_) -> Tuple_:
-    return collapse(R, (R.sigma(t[-1]),) + t[:-1])
+    if R.base in t:
+        return (R.base,) * len(t)
+    return (R._sig[t[-1]],) + t[:-1]  # type: ignore[attr-defined]
 
 
 def cyclic_face(R: FinCmMonoid, i: int, t: Tuple_) -> Tuple_:
     q = len(t) - 1
     if not (0 <= i <= q) or q < 1:
         raise MismatchError(f"face d_{i} undefined on a degree-{q} tuple")
+    base = R.base
+    if base in t:
+        return (base,) * q
     if i < q:
-        return collapse(R, t[:i] + (R.multiply(t[i], t[i + 1]),) + t[i + 2:])
-    return cyclic_face(R, 0, cyclic_twist(R, t))
+        x = R._mul[t[i]][t[i + 1]]  # type: ignore[attr-defined]
+        return (base,) * q if x == base else t[:i] + (x,) + t[i + 2:]
+    # d_q = d_0 tau_q
+    x = R._mul[R._sig[t[q]]][t[0]]  # type: ignore[attr-defined]
+    return (base,) * q if x == base else (x,) + t[1:q]
 
 
 def cyclic_degeneracy(R: FinCmMonoid, i: int, t: Tuple_) -> Tuple_:
     q = len(t) - 1
     if not (0 <= i <= q):
         raise MismatchError(f"degeneracy s_{i} undefined on a degree-{q} tuple")
-    return collapse(R, t[:i + 1] + (R.unit,) + t[i + 1:])
+    if R.base in t:
+        return (R.base,) * (q + 2)
+    return t[:i + 1] + (R.unit,) + t[i + 1:]
 
 
 def _tuples_at(R: FinCmMonoid, q: int, cap: int, rng: random.Random,
@@ -216,54 +232,56 @@ def verify_cyclic_object(R: FinCmMonoid, q_max: int, cap: int = 100_000,
         if len(failures) < 25:
             failures.append(msg)
 
+    # Each shared side is computed once per tuple: tw = tau t, D[i] = d_i t,
+    # S[j] = s_j t and the collapsed t.  The relations run in a fixed order.
     for q in range(1, q_max + 1):
         for t in _tuples_at(R, q, cap, rng, trials):
             cases += 1
             tw = cyclic_twist(R, t)
+            D = [cyclic_face(R, i, t) for i in range(q + 1)]
+            S = [cyclic_degeneracy(R, j, t) for j in range(q + 1)]
+            ct = collapse(R, t)
             # tau_q^{m(q+1)} = id
-            cur = t
-            for _ in range(m * (q + 1)):
+            cur = tw
+            for _ in range(m * (q + 1) - 1):
                 cur = cyclic_twist(R, cur)
-            if cur != collapse(R, t):
+            if cur != ct:
                 note(f"tau period fails at q={q}, t={t}")
             # d_0 tau_q = d_q
-            if cyclic_face(R, 0, tw) != cyclic_face(R, q, t):
+            if cyclic_face(R, 0, tw) != D[q]:
                 note(f"d_0 tau = d_q fails at q={q}, t={t}")
             # d_i tau_q = tau_{q-1} d_{i-1}
             for i in range(1, q + 1):
-                if cyclic_face(R, i, tw) != cyclic_twist(R, cyclic_face(R, i - 1, t)):
+                if cyclic_face(R, i, tw) != cyclic_twist(R, D[i - 1]):
                     note(f"d_{i} tau fails at q={q}, t={t}")
             # s_0 tau_q = tau_{q+1}^2 s_q
             if cyclic_degeneracy(R, 0, tw) != cyclic_twist(
-                    R, cyclic_twist(R, cyclic_degeneracy(R, q, t))):
+                    R, cyclic_twist(R, S[q])):
                 note(f"s_0 tau fails at q={q}, t={t}")
             # s_i tau_q = tau_{q+1} s_{i-1}
             for i in range(1, q + 1):
-                if cyclic_degeneracy(R, i, tw) != cyclic_twist(
-                        R, cyclic_degeneracy(R, i - 1, t)):
+                if cyclic_degeneracy(R, i, tw) != cyclic_twist(R, S[i - 1]):
                     note(f"s_{i} tau fails at q={q}, t={t}")
             # simplicial identities
             if q >= 2:
                 for i in range(0, q + 1):
                     for j in range(i + 1, q + 1):
-                        if cyclic_face(R, i, cyclic_face(R, j, t)) != \
-                                cyclic_face(R, j - 1, cyclic_face(R, i, t)):
+                        if cyclic_face(R, i, D[j]) != cyclic_face(R, j - 1, D[i]):
                             note(f"d_{i} d_{j} fails at q={q}, t={t}")
             for i in range(0, q + 1):
                 for j in range(i, q + 1):
-                    if cyclic_degeneracy(R, i, cyclic_degeneracy(R, j, t)) != \
-                            cyclic_degeneracy(R, j + 1, cyclic_degeneracy(R, i, t)):
+                    if cyclic_degeneracy(R, i, S[j]) != \
+                            cyclic_degeneracy(R, j + 1, S[i]):
                         note(f"s_{i} s_{j} fails at q={q}, t={t}")
             for j in range(0, q + 1):
-                sj = cyclic_degeneracy(R, j, t)
                 for i in range(0, q + 2):
-                    lhs = cyclic_face(R, i, sj)
+                    lhs = cyclic_face(R, i, S[j])
                     if i < j:
-                        rhs = cyclic_degeneracy(R, j - 1, cyclic_face(R, i, t))
+                        rhs = cyclic_degeneracy(R, j - 1, D[i])
                     elif i in (j, j + 1):
-                        rhs = collapse(R, t)
+                        rhs = ct
                     else:
-                        rhs = cyclic_degeneracy(R, j, cyclic_face(R, i - 1, t))
+                        rhs = cyclic_degeneracy(R, j, D[i - 1])
                     if lhs != rhs:
                         note(f"d_{i} s_{j} fails at q={q}, t={t}")
     return RelationReport(f"cyclic-relations[{R.name}, m={m}]", cases, failures)
@@ -399,9 +417,9 @@ class FreeMonoid:
         return FreeWord(tuple(self.letters.sigma(x) for x in w.letters))
 
     def sigma_pow(self, w: FreeWord, k: int) -> FreeWord:
-        for _ in range(k % self.letters.m):
-            w = self.sigma(w)
-        return w
+        if w.flag != "ok":
+            return w
+        return FreeWord(tuple(self.letters.sigma_pow(x, k) for x in w.letters))
 
     def all_words(self, max_len: int | None = None) -> Iterator[FreeWord]:
         top = self.bound if max_len is None else min(max_len, self.bound)

@@ -101,24 +101,23 @@ class ArcSystem:
                 raise InvariantViolation(f"radius {r} outside {bound}")
         if self.variant == "uCc" and any(r != 0 for _, r in self.pairs):
             raise InvariantViolation("uCc requires all radii zero")
-        self._check_images()
+        self._check_images(q)
         if self.variant in ("uE", "uEprime"):
-            gaps = self._consecutive_gaps()
+            gaps = self._consecutive_gaps(q)
             if any(g == 0 for g in gaps):
                 raise InvariantViolation("coincident centers in a strict variant")
             if sum(gaps) != q:
                 raise InvariantViolation(
                     "centers not in counterclockwise order starting at index 0")
         if self.phi is not None:
-            self._check_gaps(self.phi)
+            self._check_gaps(self.phi, q)
 
-    def _check_images(self) -> None:
+    def _check_images(self, q: Fraction) -> None:
         # Coincident zero-radius images are admitted, so a pair of zero radii
         # can never fail; a system with no positive radius needs no check.
         rs = self.radii()
         if not any(rs):
             return
-        q = self.quantum
         cls = [z.reduced(q) for z, _ in self.pairs]
         for i in range(self.n):
             for j in range(i + 1, self.n):
@@ -126,15 +125,13 @@ class ArcSystem:
                     raise InvariantViolation(
                         f"images of arcs {i} and {j} overlap with positive radius")
 
-    def _consecutive_gaps(self) -> list[Fraction]:
-        q = self.quantum
+    def _consecutive_gaps(self, q: Fraction) -> list[Fraction]:
         if self.n == 1:
             return [q]
         zs = [z.value for z, _ in self.pairs]
         return [mod_frac(zs[(j + 1) % self.n] - zs[j], q) for j in range(self.n)]
 
-    def _check_gaps(self, phi: tuple[Fraction, ...]) -> None:
-        q = self.quantum
+    def _check_gaps(self, phi: tuple[Fraction, ...], q: Fraction) -> None:
         for p in phi:
             if p < 0 or p > q:
                 raise InvariantViolation(f"gap {p} outside [0, {q}]")

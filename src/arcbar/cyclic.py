@@ -152,51 +152,81 @@ def _tau_step(gens: list[Gen]) -> bool:
     return False
 
 
+def _simplicial_rule(a: Gen, b: Gen) -> list[Gen] | None:
+    """The rewrite of the pair `a` then `b` toward the degeneracies-outside
+    canonical factorization, or None when the pair is already canonical."""
+    q = a.degree
+    if a.kind == "s" and b.kind == "d":
+        j, k = a.index, b.index  # d_k s_j at degree q
+        if k < j:
+            return [Gen("d", k, q), Gen("s", j - 1, q - 1)]
+        if k in (j, j + 1):
+            return []
+        return [Gen("d", k - 1, q), Gen("s", j, q - 1)]
+    if a.kind == "d" and b.kind == "d":
+        # math pair d_y o d_x with x applied first; canonical needs y < x
+        x, y = a.index, b.index
+        if y >= x:
+            return [Gen("d", y + 1, q), Gen("d", x, q - 1)]
+    if a.kind == "s" and b.kind == "s":
+        # math pair s_y o s_x with x applied first; canonical needs y > x
+        x, y = a.index, b.index
+        if y <= x:
+            return [Gen("s", y, q), Gen("s", x + 1, q + 1)]
+    return None
+
+
 def _simplicial_step(gens: list[Gen]) -> bool:
     """One rewrite toward the degeneracies-outside canonical factorization."""
     for i in range(len(gens) - 1):
-        a, b = gens[i], gens[i + 1]
-        q = a.degree
-        if a.kind == "s" and b.kind == "d":
-            j, k = a.index, b.index  # d_k s_j at degree q
-            if k < j:
-                gens[i:i + 2] = [Gen("d", k, q), Gen("s", j - 1, q - 1)]
-            elif k in (j, j + 1):
-                gens[i:i + 2] = []
-            else:
-                gens[i:i + 2] = [Gen("d", k - 1, q), Gen("s", j, q - 1)]
+        repl = _simplicial_rule(gens[i], gens[i + 1])
+        if repl is not None:
+            gens[i:i + 2] = repl
             return True
-        if a.kind == "d" and b.kind == "d":
-            # math pair d_y o d_x with x applied first; canonical needs y < x
-            x, y = a.index, b.index
-            if y >= x:
-                gens[i:i + 2] = [Gen("d", y + 1, q), Gen("d", x, q - 1)]
-                return True
-        if a.kind == "s" and b.kind == "s":
-            # math pair s_y o s_x with x applied first; canonical needs y > x
-            x, y = a.index, b.index
-            if y <= x:
-                gens[i:i + 2] = [Gen("s", y, q), Gen("s", x + 1, q + 1)]
-                return True
     return False
 
 
+def _push_twists(w: CyclicWord) -> tuple[list[Gen], int]:
+    """The word as (faces and degeneracies, k) with every twist moved
+    outermost into tau^k at the target degree, in one pass.  The twists met
+    so far travel as one exponent, reduced mod m(q+1) because
+    tau_q^{m(q+1)} = id.  Pushing tau_q^k past d_j or s_j steps the index down
+    k times mod q+1; each step leaves one twist behind, except a step from
+    index 0, which leaves none past a face (d_0 tau = d_q) and two past a
+    degeneracy (s_0 tau = tau^2 s_q)."""
+    out: list[Gen] = []
+    k, q = 0, w.source
+    for g in w.gens:
+        if g.kind == "t":
+            k = (k + 1) % (w.m * (q + 1))
+            continue
+        n = q + 1
+        # the steps s < k that start from index 0 are s = j, j + n, j + 2n, ...
+        wraps = (k - 1 - g.index) // n + 1 if k > g.index else 0
+        out.append(Gen(g.kind, (g.index - k) % n, q))
+        if g.kind == "d":
+            k, q = k - wraps, q - 1
+        else:
+            k, q = k + wraps, q + 1
+        k %= w.m * (q + 1)
+    return out, k
+
+
 def normalize_word(w: CyclicWord) -> CyclicWord:
-    """Rewrite to the canonical twist-outermost normal form."""
-    gens = list(w.gens)
-    while _tau_step(gens):
-        pass
-    # trailing twists: reduce the exponent at the target degree
-    k = 0
-    while gens and gens[-1].kind == "t":
-        gens.pop()
-        k += 1
-    while _simplicial_step(gens):
-        pass
-    target = w.source
-    for g in gens:
-        target = g.target
-    k %= w.m * (target + 1)
+    """Rewrite to the canonical twist-outermost normal form.  The simplicial
+    rewrites always apply at the leftmost pair they rewrite; after an edit at
+    i the scan resumes at i - 1, because every pair left of it is unchanged
+    and was already found canonical."""
+    gens, k = _push_twists(w)
+    i = 0
+    while i < len(gens) - 1:
+        repl = _simplicial_rule(gens[i], gens[i + 1])
+        if repl is None:
+            i += 1
+        else:
+            gens[i:i + 2] = repl
+            i = max(i - 1, 0)
+    target = gens[-1].target if gens else w.source
     gens.extend(Gen("t", 0, target) for _ in range(k))
     out = CyclicWord(w.m, w.source, tuple(gens))
     if out.target != w.target:

@@ -31,13 +31,10 @@ class MismatchError(ValueError):
 
 
 def rat(value: RatLike, den: int = 1) -> Rat:
-    """Coerce ints, 'p/q' strings, or Fractions to an exact rational; a
-    Fraction with den 1 is returned as it is."""
-    if den == 1 and isinstance(value, Fraction):
-        return value
-    if isinstance(value, str) or den == 1:
-        return Fraction(value)
-    return Fraction(value, den)
+    """Coerce ints, 'p/q' strings, or Fractions to an exact rational and
+    divide by `den`; a Fraction with den 1 is returned as it is."""
+    x = value if isinstance(value, Fraction) else Fraction(value)
+    return x if den == 1 else Fraction(x, den)
 
 
 def rat_str(x: Rat) -> str:

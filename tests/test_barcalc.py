@@ -1,17 +1,23 @@
 """Coefficients and bar constructions: operator relations of the relative
 cyclic bar construction, the truncated free monoid, the two-sided bar complex,
 labeled orbits, and the degreewise comparison for free coefficients."""
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arcbar.barcalc import (BASE_WORD, BarComplex, EMPTY_WORD, FreeMonoid,
-                            FreeWord, LabeledOrbit, _canon_slots,
-                            _canon_twists, _lambda_canon, check_thm_cycbar_free,
-                            compressed_cc, cyclic_degeneracy, cyclic_face,
-                            cyclic_twist, labeled_orbit, lambda_class_to_orbit,
+from arcbar import barcalc
+from arcbar.barcalc import (BASE_WORD, BarComplex, EMPTY_WORD, OVERFLOW_WORD,
+                            FinCmMonoid, FreeMonoid, FreeWord, LabeledOrbit,
+                            _canon_slots, _canon_twists, _lambda_canon,
+                            check_thm_cycbar_free, compressed_cc,
+                            cyclic_degeneracy, cyclic_face, cyclic_twist,
+                            labeled_orbit, lambda_class_to_orbit,
                             map_c_to_l, pointed_cyclic_monoid, pointed_set,
                             split_orbit_element, standard_monoids,
                             twist_order, verify_cyclic_object)
@@ -31,17 +37,25 @@ def test_monoid_construction_and_validation():
         pointed_cyclic_monoid("bad", 3, 3, sigma_mult=-1)  # order 2 map at m=3
 
 
+def _iterate(f, x, k):
+    for _ in range(k):
+        x = f(x)
+    return x
+
+
 def test_sigma_pow_table_matches_iterated_sigma():
-    coeffs = [R for m in range(1, 7) for R in standard_monoids(m)]
-    coeffs += [pointed_set("s", ["a", "b", "c"], 6, {"a": "b", "b": "c", "c": "a"}),
+    letters = [pointed_set("s", ["a", "b", "c"], 6, {"a": "b", "b": "c", "c": "a"}),
                pointed_set("t", ["x", "y"], 4, {"x": "y", "y": "x"})]
-    for X in coeffs:
+    for X in [R for m in range(1, 7) for R in standard_monoids(m)] + letters:
         for x in X.elements:
             for k in range(-2 * X.m, 2 * X.m + 1):
-                y = x
-                for _ in range(k % X.m):
-                    y = X.sigma(y)
-                assert X.sigma_pow(x, k) == y, (X.name, x, k)
+                assert X.sigma_pow(x, k) == _iterate(X.sigma, x, k % X.m), (X.name, x, k)
+    # the free monoid reads its letters' table, letter by letter
+    for X in letters:
+        T = FreeMonoid(X, 3)
+        for w in itertools.chain(T.all_words(), [OVERFLOW_WORD]):
+            for k in range(-2 * X.m, 2 * X.m + 1):
+                assert T.sigma_pow(w, k) == _iterate(T.sigma, w, k % X.m), (X.name, w, k)
     with pytest.raises(InvariantViolation):
         pointed_set("bad", ["a", "b", "c"], 2, {"a": "b", "b": "c", "c": "a"})
 
@@ -76,6 +90,105 @@ def test_basepoint_collapse():
     assert cyclic_twist(R, ("g1", "*")) == ("*", "*")
     assert cyclic_face(R, 0, ("*", "g1", "g0")) == ("*", "*")
     assert cyclic_degeneracy(R, 1, ("*", "g1")) == ("*", "*", "*")
+
+
+# Reference operators built only on R.multiply, R.sigma and R.unit, with the
+# basepoint collapse applied to each result.
+
+def _ref_collapse(R, t):
+    return (R.base,) * len(t) if R.base in t else t
+
+
+def _ref_twist(R, t):
+    return _ref_collapse(R, (R.sigma(t[-1]),) + t[:-1])
+
+
+def _ref_face(R, i, t):
+    if i < len(t) - 1:
+        return _ref_collapse(R, t[:i] + (R.multiply(t[i], t[i + 1]),) + t[i + 2:])
+    return _ref_face(R, 0, _ref_twist(R, t))
+
+
+def _ref_degeneracy(R, i, t):
+    return _ref_collapse(R, t[:i + 1] + (R.unit,) + t[i + 1:])
+
+
+def _nilpotent_monoid(m):
+    """{*, e, a, b} with every product of a and b the basepoint, sigma swapping
+    a and b: products of non-base elements can collapse a tuple."""
+    es = ("*", "e", "a", "b")
+    table = tuple(tuple(y if x == "e" else x if y == "e" else "*" for y in es)
+                  for x in es)
+    return FinCmMonoid("nil", es, "*", "e", m, table, ("*", "e", "b", "a"))
+
+
+@st.composite
+def monoid_tuples(draw):
+    """A coefficient monoid and a tuple of degree 0..5 over it, drawn either
+    from all elements (the basepoint included) or from the others."""
+    m = draw(st.integers(1, 4))
+    R = draw(st.sampled_from(standard_monoids(m) +
+                             ([_nilpotent_monoid(m)] if m % 2 == 0 else [])))
+    pool = R.elements if draw(st.booleans()) else R.nonbase()
+    t = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6)))
+    return R, t
+
+
+@settings(max_examples=400, deadline=None)
+@given(monoid_tuples())
+def test_operators_match_multiply_sigma_reference(case):
+    R, t = case
+    q = len(t) - 1
+    assert cyclic_twist(R, t) == _ref_twist(R, t)
+    for i in range(q + 1):
+        assert cyclic_degeneracy(R, i, t) == _ref_degeneracy(R, i, t), (R.name, i, t)
+        if q >= 1:
+            assert cyclic_face(R, i, t) == _ref_face(R, i, t), (R.name, i, t)
+
+
+def test_nilpotent_monoid_collapses_and_passes():
+    R = _nilpotent_monoid(2)
+    assert cyclic_face(R, 0, ("a", "b", "e")) == ("*", "*")
+    assert cyclic_face(R, 1, ("a", "e", "b")) == ("a", "b")
+    assert cyclic_face(R, 2, ("a", "e", "b")) == ("*", "*")  # d_q: sigma(b) a
+    assert verify_cyclic_object(R, 4).ok
+
+
+def _mutated_reports():
+    """(cases, failures) for the standard monoids at m <= 4, q <= 3, with a
+    wrong operator patched into barcalc."""
+    return [[r.cases, r.failures] for r in (
+        verify_cyclic_object(R, 3, cap=4096, seed=5, trials=50)
+        for m in (1, 2, 3, 4) for R in standard_monoids(m))]
+
+
+def _bad_degeneracy(R, i, t):  # inserts the unit at i instead of i + 1
+    return barcalc.collapse(R, t[:i] + (R.unit,) + t[i:])
+
+
+def _bad_face(R, i, t):  # d_q forgets sigma
+    if i == len(t) - 1:
+        return cyclic_face(R, 0, (t[-1],) + t[:-1])
+    return cyclic_face(R, i, t)
+
+
+# sha256 of the JSON of _mutated_reports(), recorded with the operators
+# evaluated separately for every relation side: pins the order and the text
+# of the failures and the case counts
+_MUTATED_DIGESTS = {
+    "cyclic_degeneracy": "961c7ee5ebf0af5eb019458a53b02e770237ba6a68b82f31f95a872dcd2aa339",
+    "cyclic_face": "4695d51e131cf5b70ce78e659812bee372eae4d12765776919cf43e92a0b85f8",
+}
+
+
+@pytest.mark.parametrize("name, bad", [("cyclic_degeneracy", _bad_degeneracy),
+                                       ("cyclic_face", _bad_face)])
+def test_verify_cyclic_object_digest_under_mutated_operator(monkeypatch, name, bad):
+    monkeypatch.setattr(barcalc, name, bad)
+    reports = _mutated_reports()
+    assert sum(len(f) for _, f in reports) > 0
+    blob = json.dumps(reports).encode()
+    assert hashlib.sha256(blob).hexdigest() == _MUTATED_DIGESTS[name]
 
 
 def test_verify_cyclic_object_standard_battery():

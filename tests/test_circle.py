@@ -42,6 +42,20 @@ def test_validation():
         system(1, [(0, F(1, 8)), (F(1, 16), 0)], [F(1, 16), F(15, 16)], "uEc")
 
 
+def test_validation_builds_the_quantum_once(monkeypatch):
+    reads = []
+    real = ArcSystem.quantum
+
+    def counted(self):
+        reads.append(self.m)
+        return real.fget(self)
+
+    monkeypatch.setattr(ArcSystem, "quantum", property(counted))
+    # every check runs: radii, images, consecutive gaps and the gap congruence
+    system(2, [(0, F(1, 8)), (F(1, 4), F(1, 8))], [F(1, 4), F(1, 4)], "uEprime")
+    assert reads == [2]
+
+
 def test_arc_coords_examples():
     x = system(1, [(0, F(1, 8)), (F(1, 2), F(1, 8))], None, "uE")
     assert arc_coords(x).phi == (F(1, 2), F(1, 2))

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arcbar import cyclic
 from arcbar.circle import circle_act, sample_ucc, wreath_act
 from arcbar.cyclic import (CyclicWord, Gen, act_on_point, align_ucc,
                            circle_act_point, identity_word, is_aligned,
@@ -55,6 +58,60 @@ def test_normal_form_shape_and_idempotence():
         assert all(a > b for a, b in zip(ds, ds[1:]))
         assert all(a < b for a, b in zip(ss, ss[1:]))
         assert len(ts) < m * (nf.target + 1)
+
+
+def _normalize_full_rescan(w):
+    """The rewriting loop of normalize_word before it moved twists in one pass
+    and resumed at the edit: one rewrite at a time, each found by scanning
+    from index 0."""
+    gens = list(w.gens)
+    while cyclic._tau_step(gens):
+        pass
+    k = 0
+    while gens and gens[-1].kind == "t":
+        gens.pop()
+        k += 1
+    while cyclic._simplicial_step(gens):
+        pass
+    target = w.source
+    for g in gens:
+        target = g.target
+    k %= w.m * (target + 1)
+    gens.extend(Gen("t", 0, target) for _ in range(k))
+    return CyclicWord(w.m, w.source, tuple(gens))
+
+
+def test_normal_form_equals_full_rescan_oracle_on_seeded_words():
+    rng = random.Random(6)
+    for length in list(range(0, 33)) + [48, 64, 96, 128] * 3:
+        m, q = rng.randint(1, 4), rng.randint(0, 5)
+        w = sample_word(rng, m, q, length)
+        assert normalize_word(w) == _normalize_full_rescan(w), str(w)
+
+
+@st.composite
+def cyclic_words(draw, max_len=40, max_degree=7):
+    """A well-formed word: each generator is drawn at the degree the previous
+    one leaves, faces only above degree 0, degeneracies up to max_degree;
+    long runs of one kind (twists, s_0, d_0) are likely."""
+    m = draw(st.integers(1, 4))
+    source = draw(st.integers(0, 5))
+    gens, q = [], source
+    for _ in range(draw(st.integers(0, max_len))):
+        kinds = ["t"] + (["s"] if q < max_degree else []) + (["d"] if q >= 1 else [])
+        kind = draw(st.sampled_from(kinds))
+        index = 0 if kind == "t" else draw(st.one_of(st.just(0), st.integers(0, q)))
+        gens.append(Gen(kind, index, q))
+        q = gens[-1].target
+    return CyclicWord(m, source, tuple(gens))
+
+
+@settings(max_examples=400, deadline=None)
+@given(cyclic_words())
+def test_normal_form_equals_full_rescan_oracle(w):
+    nf = normalize_word(w)
+    assert nf == _normalize_full_rescan(w)
+    assert normalize_word(nf) == nf
 
 
 def test_local_confluence_exhaustive_small():

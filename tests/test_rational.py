@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from arcbar.rational import (ArcInterval, InvariantViolation, MismatchError,
                              Turn, _draw_rat, arcs_overlap, circular_distance,
-                             draw_composition, mod_frac, rat_str, parse_rat,
-                             sample_rat)
+                             draw_composition, mod_frac, rat, rat_str,
+                             parse_rat, sample_rat)
 
 rats = st.fractions(min_value=-50, max_value=50, max_denominator=16)
 
@@ -31,6 +31,23 @@ def test_rat_strings():
     assert parse_rat("7/3") == F(7, 3)
     with pytest.raises(InvariantViolation):
         parse_rat("x")
+
+
+@pytest.mark.parametrize("value, den, want", [
+    (3, 1, F(3)), (3, 4, F(3, 4)), (-3, 6, F(-1, 2)),
+    ("3", 1, F(3)), ("1/2", 3, F(1, 6)), ("-1/2", -3, F(1, 6)),
+    (F(5, 2), 1, F(5, 2)), (F(1, 2), 3, F(1, 6)), (F(4, 3), 2, F(2, 3)),
+])
+def test_rat_divides_by_den_for_every_input_type(value, den, want):
+    got = rat(value, den)
+    assert type(got) is F and got == want
+
+
+def test_rat_returns_a_fraction_unchanged():
+    x = F(7, 3)
+    assert rat(x) is x
+    with pytest.raises(ZeroDivisionError):
+        rat("1/2", 0)
 
 
 @given(rats, st.sampled_from([F(1), F(1, 2), F(1, 3), F(3)]))
