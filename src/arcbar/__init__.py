@@ -3,8 +3,8 @@ the m-cyclic category, and cyclic bar constructions."""
 
 from .rational import (ArcInterval, InvariantViolation, MismatchError, Rat,
                        Turn, arcs_overlap, sample_rat)
-from .groups import (CyclicElem, GroupAction, Perm, WreathElem,
-                     block_cycle_perm, orbit_canon, upsilon, znwrcm_elements)
+from .groups import (CyclicElem, Perm, WreathElem, block_cycle_perm, upsilon,
+                     znwrcm_elements)
 from .operads import (ASSOC, COMPACT, FRAMED_C2, LITTLE_DISKS, SEMIDIRECT_C2,
                       AssocElem, CompactElem, DiskTuple, FramedTuple,
                       SemidirectElem, assoc_to_compact, check_operad_laws,
@@ -17,7 +17,8 @@ from .barcalc import (BarComplex, FinCmMonoid, FreeMonoid, LabeledOrbit,
                       PointedCmSet, check_thm_cycbar_free, compressed_cc,
                       cyclic_face, labeled_orbit, map_c_to_l,
                       verify_cyclic_object)
-from .suites import Report, RunConfig, run_suite
+from .report import Report
+from .suites import RunConfig, run_suite
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

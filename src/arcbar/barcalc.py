@@ -17,25 +17,38 @@ from .circle import ArcSystem, compose_uec, sample_ucc
 from .cyclic import CyclicPoint, align_ucc, lambda_to_ucc, ucc_to_lambda
 from .groups import CyclicElem, act_labels
 from .rational import InvariantViolation, MismatchError, Turn
+from .report import Report
 
 # ---------------------------------------------------------------------------
 # finite pointed C_m-monoids
 # ---------------------------------------------------------------------------
 
-def _sigma_powers(elements: Sequence[str], sigma_table: Sequence[str],
-                  m: int) -> dict[str, tuple[str, ...]]:
-    """The table x -> (x, sigma x, ..., sigma^(m-1) x) of a bijection sigma;
-    raises unless sigma^m = id."""
+def _pointed_cm_tables(elements: Sequence[str], base: str,
+                       sigma_table: Sequence[str], m: int
+                       ) -> tuple[dict[str, str], dict[str, tuple[str, ...]]]:
+    """Validate a finite pointed C_m-set: distinct element names, the
+    basepoint among them, sigma a bijection fixing it, and sigma^m = id.
+    Returns the tables x -> sigma x and x -> (x, sigma x, ..., sigma^(m-1) x)."""
+    if len(set(elements)) != len(elements):
+        raise InvariantViolation("duplicate element names")
+    if base not in elements:
+        raise InvariantViolation(f"{base!r} not among the elements")
+    if len(sigma_table) != len(elements):
+        raise InvariantViolation("sigma table must cover all elements")
+    if sorted(sigma_table) != sorted(elements):
+        raise InvariantViolation("sigma must be a bijection")
     sigma = dict(zip(elements, sigma_table))
-    table = {}
+    if sigma[base] != base:
+        raise InvariantViolation("sigma must fix the basepoint")
+    powers = {}
     for e in elements:
-        powers = [e]
+        row = [e]
         for _ in range(m - 1):
-            powers.append(sigma[powers[-1]])
-        if sigma[powers[-1]] != e:
+            row.append(sigma[row[-1]])
+        if sigma[row[-1]] != e:
             raise InvariantViolation("sigma order does not divide m")
-        table[e] = tuple(powers)
-    return table
+        powers[e] = tuple(row)
+    return sigma, powers
 
 
 @dataclass(frozen=True)
@@ -53,12 +66,14 @@ class FinCmMonoid:
 
     def __post_init__(self) -> None:
         # _mul[a][b] = ab and _sig[a] = sigma a, which the bar operators read;
-        # validate rejects ragged or short tables before it reads them
+        # validate rejects a ragged or short product table before reading it
+        sig, powers = _pointed_cm_tables(self.elements, self.base,
+                                         self.sigma_table, self.m)
+        object.__setattr__(self, "_sig", sig)
+        object.__setattr__(self, "_powers", powers)
         object.__setattr__(self, "_mul", {
             a: dict(zip(self.elements, row))
             for a, row in zip(self.elements, self.mul_table)})
-        object.__setattr__(self, "_sig",
-                           dict(zip(self.elements, self.sigma_table)))
         self.validate()
 
     def multiply(self, a: str, b: str) -> str:
@@ -81,11 +96,8 @@ class FinCmMonoid:
 
     def validate(self) -> None:
         es = self.elements
-        if len(set(es)) != len(es):
-            raise InvariantViolation("duplicate element names")
-        for required in (self.base, self.unit):
-            if required not in es:
-                raise InvariantViolation(f"{required!r} not among the elements")
+        if self.unit not in es:
+            raise InvariantViolation(f"{self.unit!r} not among the elements")
         if len(self.mul_table) != len(es) or any(len(r) != len(es)
                                                  for r in self.mul_table):
             raise InvariantViolation("multiplication table must be square")
@@ -101,19 +113,13 @@ class FinCmMonoid:
                     if self.multiply(self.multiply(a, b), c) != \
                             self.multiply(a, self.multiply(b, c)):
                         raise InvariantViolation(f"associativity fails at {a},{b},{c}")
-        if len(self.sigma_table) != len(es):
-            raise InvariantViolation("sigma table must cover all elements")
-        if sorted(self.sigma_table) != sorted(es):
-            raise InvariantViolation("sigma must be a bijection")
-        if self.sigma(self.unit) != self.unit or self.sigma(self.base) != self.base:
+        if self.sigma(self.unit) != self.unit:
             raise InvariantViolation("sigma must fix unit and basepoint")
         for a in es:
             for b in es:
                 if self.sigma(self.multiply(a, b)) != \
                         self.multiply(self.sigma(a), self.sigma(b)):
                     raise InvariantViolation("sigma is not a monoid map")
-        object.__setattr__(self, "_powers",
-                           _sigma_powers(es, self.sigma_table, self.m))
 
 
 def pointed_cyclic_monoid(name: str, k: int, m: int, sigma_mult: int = 1) -> FinCmMonoid:
@@ -208,29 +214,15 @@ def _tuples_at(R: FinCmMonoid, q: int, cap: int, rng: random.Random,
             yield tuple(rng.choice(R.elements) for _ in range(q + 1))
 
 
-@dataclass
-class RelationReport:
-    name: str
-    cases: int
-    failures: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def verify_cyclic_object(R: FinCmMonoid, q_max: int, cap: int = 100_000,
-                         seed: int = 0, trials: int = 300) -> RelationReport:
+                         seed: int = 0, trials: int = 300) -> Report:
     """Exhaustively (small coefficients) or by sampling, check every operator
     relation of the m-cyclic structure plus the simplicial identities."""
     rng = random.Random(seed)
     m = R.m
-    failures: list[str] = []
+    rep = Report(f"cyclic-relations[{R.name}, m={m}]",
+                 {"q_max": q_max, "cap": cap, "seed": seed, "trials": trials})
     cases = 0
-
-    def note(msg: str) -> None:
-        if len(failures) < 25:
-            failures.append(msg)
 
     # Each shared side is computed once per tuple: tw = tau t, D[i] = d_i t,
     # S[j] = s_j t and the collapsed t.  The relations run in a fixed order.
@@ -246,33 +238,33 @@ def verify_cyclic_object(R: FinCmMonoid, q_max: int, cap: int = 100_000,
             for _ in range(m * (q + 1) - 1):
                 cur = cyclic_twist(R, cur)
             if cur != ct:
-                note(f"tau period fails at q={q}, t={t}")
+                rep.fail("tau period", f"q={q}, t={t}")
             # d_0 tau_q = d_q
             if cyclic_face(R, 0, tw) != D[q]:
-                note(f"d_0 tau = d_q fails at q={q}, t={t}")
+                rep.fail("d_0 tau = d_q", f"q={q}, t={t}")
             # d_i tau_q = tau_{q-1} d_{i-1}
             for i in range(1, q + 1):
                 if cyclic_face(R, i, tw) != cyclic_twist(R, D[i - 1]):
-                    note(f"d_{i} tau fails at q={q}, t={t}")
+                    rep.fail(f"d_{i} tau", f"q={q}, t={t}")
             # s_0 tau_q = tau_{q+1}^2 s_q
             if cyclic_degeneracy(R, 0, tw) != cyclic_twist(
                     R, cyclic_twist(R, S[q])):
-                note(f"s_0 tau fails at q={q}, t={t}")
+                rep.fail("s_0 tau", f"q={q}, t={t}")
             # s_i tau_q = tau_{q+1} s_{i-1}
             for i in range(1, q + 1):
                 if cyclic_degeneracy(R, i, tw) != cyclic_twist(R, S[i - 1]):
-                    note(f"s_{i} tau fails at q={q}, t={t}")
+                    rep.fail(f"s_{i} tau", f"q={q}, t={t}")
             # simplicial identities
             if q >= 2:
                 for i in range(0, q + 1):
                     for j in range(i + 1, q + 1):
                         if cyclic_face(R, i, D[j]) != cyclic_face(R, j - 1, D[i]):
-                            note(f"d_{i} d_{j} fails at q={q}, t={t}")
+                            rep.fail(f"d_{i} d_{j}", f"q={q}, t={t}")
             for i in range(0, q + 1):
                 for j in range(i, q + 1):
                     if cyclic_degeneracy(R, i, S[j]) != \
                             cyclic_degeneracy(R, j + 1, S[i]):
-                        note(f"s_{i} s_{j} fails at q={q}, t={t}")
+                        rep.fail(f"s_{i} s_{j}", f"q={q}, t={t}")
             for j in range(0, q + 1):
                 for i in range(0, q + 2):
                     lhs = cyclic_face(R, i, S[j])
@@ -283,8 +275,9 @@ def verify_cyclic_object(R: FinCmMonoid, q_max: int, cap: int = 100_000,
                     else:
                         rhs = cyclic_degeneracy(R, j, D[i - 1])
                     if lhs != rhs:
-                        note(f"d_{i} s_{j} fails at q={q}, t={t}")
-    return RelationReport(f"cyclic-relations[{R.name}, m={m}]", cases, failures)
+                        rep.fail(f"d_{i} s_{j}", f"q={q}, t={t}")
+    rep.cases = cases
+    return rep
 
 
 def twist_order(R: FinCmMonoid, q: int, probe: Tuple_ | None = None,
@@ -323,22 +316,13 @@ class PointedCmSet:
     sigma_table: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_index",
-                           {e: i for i, e in enumerate(self.elements)})
-        if self.base not in self.elements:
-            raise InvariantViolation("basepoint must be an element")
-        if sorted(self.sigma_table) != sorted(self.elements):
-            raise InvariantViolation("sigma must be a bijection")
-        if self.sigma(self.base) != self.base:
-            raise InvariantViolation("sigma must fix the basepoint")
-        object.__setattr__(self, "_powers",
-                           _sigma_powers(self.elements, self.sigma_table, self.m))
-
-    def index(self, x: str) -> int:
-        return self._index[x]  # type: ignore[attr-defined]
+        sig, powers = _pointed_cm_tables(self.elements, self.base,
+                                         self.sigma_table, self.m)
+        object.__setattr__(self, "_sig", sig)
+        object.__setattr__(self, "_powers", powers)
 
     def sigma(self, x: str) -> str:
-        return self.sigma_table[self.index(x)]
+        return self._sig[x]  # type: ignore[attr-defined]
 
     def sigma_pow(self, x: str, k: int) -> str:
         return self._powers[x][k % self.m]  # type: ignore[attr-defined]
@@ -390,13 +374,6 @@ class FreeMonoid:
         if x == self.letters.base:
             return BASE_WORD
         return FreeWord((x,))
-
-    def word(self, xs: Sequence[str]) -> FreeWord:
-        if any(x == self.letters.base for x in xs):
-            return BASE_WORD
-        if len(xs) > self.bound:
-            return OVERFLOW_WORD
-        return FreeWord(tuple(xs))
 
     def multiply(self, a: FreeWord, b: FreeWord) -> FreeWord:
         if "base" in (a.flag, b.flag):
@@ -728,20 +705,8 @@ def _decode_lambda(m: int, den: int, enc) -> tuple[CyclicPoint, tuple[str, ...]]
                        tuple(Fraction(t, den) for t in ts)), labels
 
 
-@dataclass
-class ThmReport:
-    m: int
-    den: int
-    per_degree: list[dict]
-    failures: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def check_thm_cycbar_free(X: PointedCmSet, n_max: int, m: int, den: int = 4,
-                          verify_reps: int = 50) -> ThmReport:
+                          verify_reps: int = 50) -> Report:
     """Degreewise comparison for free coefficients: exact orbit-class counts on
     a common rational lattice, with the explicit map verified to be a bijection
     class by class (and re-verified through the exact-rational route on a
@@ -749,8 +714,8 @@ def check_thm_cycbar_free(X: PointedCmSet, n_max: int, m: int, den: int = 4,
     if X.m != m:
         raise MismatchError("letter set lives over a different cyclic order")
     letters = X.nonbase()
-    failures: list[str] = []
-    per_degree: list[dict] = []
+    rep = Report(f"thm-cycbar[{X.name}]", {"n_max": n_max, "m": m, "den": den,
+                                           "verify_reps": verify_reps})
     scale = m * den
     sig_pow = X.sigma_pow
 
@@ -775,13 +740,12 @@ def check_thm_cycbar_free(X: PointedCmSet, n_max: int, m: int, den: int = 4,
                 for labels in itertools.product(letters, repeat=n):
                     space_classes.add(space_canon((zs, ps, labels)))
                     lam_classes.add(lam_canon((z0, ps, labels)))
-        entry = {"n": n, "left_classes": len(space_classes),
-                 "right_classes": len(lam_classes)}
-        per_degree.append(entry)
+        rep.per_degree.append({"n": n, "left_classes": len(space_classes),
+                               "right_classes": len(lam_classes)})
+        rep.cases += len(space_classes)
         if len(space_classes) != len(lam_classes):
-            failures.append(
-                f"n={n}: class counts differ "
-                f"({len(space_classes)} vs {len(lam_classes)})")
+            rep.fail("class-counts", f"n={n}", str(len(space_classes)),
+                     str(len(lam_classes)))
             continue
 
         # encoded forward map: align, reindex, canonicalize in the target
@@ -804,12 +768,12 @@ def check_thm_cycbar_free(X: PointedCmSet, n_max: int, m: int, den: int = 4,
         for cls in space_classes:
             img = forward(cls)
             if img in images:
-                failures.append(f"n={n}: comparison map not injective")
+                rep.fail("injective", f"n={n}")
                 ok_bijection = False
                 break
             images[img] = cls
         if ok_bijection and set(images) != lam_classes:
-            failures.append(f"n={n}: comparison map not surjective")
+            rep.fail("surjective", f"n={n}")
             ok_bijection = False
 
         if ok_bijection:
@@ -818,7 +782,7 @@ def check_thm_cycbar_free(X: PointedCmSet, n_max: int, m: int, den: int = 4,
                 p, labels = _decode_lambda(m, den, img)
                 back = _encode_space(lambda_to_ucc(p), labels, X, den)
                 if space_canon(back) != cls:
-                    failures.append(f"n={n}: explicit inverse fails on a class")
+                    rep.fail("explicit-inverse", f"n={n}")
                     break
 
         # dual-route verification through the exact-rational types
@@ -829,10 +793,10 @@ def check_thm_cycbar_free(X: PointedCmSet, n_max: int, m: int, den: int = 4,
             rb = lam.point.rbar.value * den
             ts = [t * den for t in lam.point.simplex]
             if rb.denominator != 1 or any(t.denominator != 1 for t in ts):
-                failures.append(f"n={n}: exact route leaves the lattice")
+                rep.fail("dual-route-lattice", f"n={n}")
                 break
             enc = (int(rb), tuple(int(t) for t in ts), lam.labels)
             if lam_canon(enc) != forward(cls):
-                failures.append(f"n={n}: encoded and exact routes disagree")
+                rep.fail("dual-route", f"n={n}")
                 break
-    return ThmReport(m, den, per_degree, failures)
+    return rep

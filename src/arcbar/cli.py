@@ -8,8 +8,9 @@ import sys
 from fractions import Fraction
 
 from . import barcalc, circle, cyclic, jsonio, suites
-from .operads import INSTANCES
+from .operads import INSTANCES, check_operad_laws
 from .rational import InvariantViolation, MismatchError, Turn
+from .report import Report
 
 
 def _default_seed() -> int:
@@ -56,7 +57,7 @@ def _suite_config(args, suite: str) -> suites.RunConfig:
                             m_max=args.m_max, den=args.den, out=args.out)
 
 
-def _finish(rep: suites.Report) -> int:
+def _finish(rep: Report) -> int:
     _emit(rep.to_json())
     return 0 if rep.ok else 1
 
@@ -145,16 +146,9 @@ def _dispatch(args) -> int:
             _emit(jsonio.operad_elem_to_json(inst.compose(outer, inners)))
             return 0
         if args.instance != "all":
-            from .operads import check_operad_laws
             inst = INSTANCES[args.instance]
-            nullary = args.instance in ("assoc", "dc")
-            rep = check_operad_laws(inst, args.seed, args.trials,
-                                    allow_nullary=nullary)
-            _emit({"instance": inst.name, "trials": rep.trials,
-                   "violations": [{"law": v.law, "detail": v.detail}
-                                  for v in rep.violations],
-                   "ok": rep.ok})
-            return 0 if rep.ok else 1
+            return _finish(check_operad_laws(inst, args.seed, args.trials,
+                                             allow_nullary=inst.allow_nullary))
         return _finish(suites.run_suite(_suite_config(args, "operad-laws")))
 
     if args.module == "embed":
@@ -200,11 +194,8 @@ def _dispatch(args) -> int:
     if args.module == "bar":
         if args.command == "cyclic-verify" and args.monoid:
             R = _parse("--monoid", args.monoid, jsonio.monoid_from_json)
-            out = barcalc.verify_cyclic_object(R, args.q_max, seed=args.seed,
-                                               trials=args.trials)
-            _emit({"name": out.name, "cases": out.cases,
-                   "failures": out.failures, "ok": out.ok})
-            return 0 if out.ok else 1
+            return _finish(barcalc.verify_cyclic_object(R, args.q_max, seed=args.seed,
+                                                        trials=args.trials))
         if args.command == "cyclic-verify":
             return _finish(suites.run_suite(_suite_config(args,
                                                           "cyclic-relations")))

@@ -84,11 +84,6 @@ class CyclicWord:
     def target(self) -> int:
         return self._target  # type: ignore[attr-defined]
 
-    def then(self, other: "CyclicWord") -> "CyclicWord":
-        if other.m != self.m or other.source != self.target:
-            raise MismatchError("words do not compose")
-        return CyclicWord(self.m, self.source, self.gens + other.gens)
-
     def __str__(self) -> str:
         if not self.gens:
             return "id"

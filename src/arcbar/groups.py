@@ -223,14 +223,6 @@ class WreathElem:
             return False
         return all(m.compose(m.inverse()) == m for m in self.members)
 
-    def order(self, cap: int = 10_000) -> int:
-        g = self
-        for k in range(1, cap + 1):
-            if g.is_identity():
-                return k
-            g = g.compose(self)
-        raise InvariantViolation("order exceeds cap")
-
 
 def upsilon(m: int, n: int) -> WreathElem:
     """The distinguished element ((1...n); 1, ..., 1, c^{-1}) of Z_n wr C_m."""
@@ -265,23 +257,3 @@ def act_labels(g: WreathElem, labels: Sequence[T],
     inv = g.perm.inverse()
     return tuple(
         member_act(g.members[inv(i)], labels[inv(i)]) for i in range(g.degree))
-
-
-@dataclass(frozen=True)
-class GroupAction:
-    """A finite group given by an element list together with its action."""
-
-    elements: tuple
-    act: Callable
-
-    def orbit(self, point):
-        return {self.act(g, point) for g in self.elements}
-
-    def canon(self, point, key: Callable = None):
-        """Lexicographically least element of the orbit (by `key` if given)."""
-        orbit = [self.act(g, point) for g in self.elements]
-        return min(orbit, key=key) if key is not None else min(orbit)
-
-
-def orbit_canon(action: GroupAction, point, key: Callable = None):
-    return action.canon(point, key=key)

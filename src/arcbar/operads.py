@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 from .groups import CyclicElem, Perm, block_perm, block_sum
 from .rational import InvariantViolation, MismatchError, _draw_rat
+from .report import Report
 
 Pair = tuple[Fraction, Fraction]
 
@@ -43,11 +44,7 @@ class SignedGroup:
     def identity(self) -> CyclicElem:
         return CyclicElem.identity(self.order)
 
-    def elements(self) -> list[CyclicElem]:
-        return [CyclicElem(self.order, k) for k in range(self.order)]
 
-
-C1_TRIVIAL = SignedGroup(1, 1)
 C2_SIGN = SignedGroup(2, -1)
 
 
@@ -211,8 +208,12 @@ def _rand_perm(rng: random.Random, n: int) -> Perm:
     return Perm(tuple(images))
 
 
+# Each instance class says whether the law checks sample arity-0 elements;
+# the suites and the command line both read `allow_nullary` from it.
+
 class AssocOperad:
     name = "assoc"
+    allow_nullary = True
 
     def unit(self) -> AssocElem:
         return AssocElem(Perm.identity(1))
@@ -237,6 +238,7 @@ class AssocOperad:
 
 class LittleDiskOperad:
     name = "dR"
+    allow_nullary = False
 
     def unit(self) -> DiskTuple:
         return DiskTuple(((Fraction(0), Fraction(1)),))
@@ -266,6 +268,8 @@ class LittleDiskOperad:
 
 class FramedOperad:
     """The framed little 1-disk operad for a sign-acting cyclic group."""
+
+    allow_nullary = False
 
     def __init__(self, group: SignedGroup):
         self.group = group
@@ -305,10 +309,11 @@ class FramedOperad:
 class SemidirectOperad:
     """Little disks x H^n with composition twisted by the H-conjugation action."""
 
-    def __init__(self, group: SignedGroup, twist: bool = True):
+    allow_nullary = False
+
+    def __init__(self, group: SignedGroup):
         self.group = group
-        self.twist = twist
-        self.name = f"semidirect-c{group.order}" + ("" if twist else "-untwisted")
+        self.name = f"semidirect-c{group.order}"
 
     def unit(self) -> SemidirectElem:
         return SemidirectElem(LITTLE_DISKS.unit(), (self.group.identity(),),
@@ -335,11 +340,8 @@ class SemidirectOperad:
                 inners: Sequence[SemidirectElem]) -> SemidirectElem:
         if len(inners) != outer.arity:
             raise MismatchError("arity mismatch")
-        if self.twist:
-            disks = [self._conjugate(h, inner.disk)
-                     for h, inner in zip(outer.members, inners)]
-        else:
-            disks = [inner.disk for inner in inners]
+        disks = [self._conjugate(h, inner.disk)
+                 for h, inner in zip(outer.members, inners)]
         disk = LITTLE_DISKS.compose(outer.disk, disks)
         members: list[CyclicElem] = []
         for h, inner in zip(outer.members, inners):
@@ -355,6 +357,7 @@ def sample_ucompact(rng: random.Random, arity: int, den: int = 8) -> tuple[Pair,
 
 class CompactOperad:
     name = "dc"
+    allow_nullary = True
 
     def unit(self) -> CompactElem:
         return CompactElem(((Fraction(0), Fraction(1)),), Perm.identity(1))
@@ -467,23 +470,6 @@ OPERAD_MAPS = {
 # law harness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LawViolation:
-    law: str
-    detail: str
-
-
-@dataclass
-class LawReport:
-    instance: str
-    trials: int
-    violations: list[LawViolation]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def _split_blocks(flat: list, sizes: Sequence[int]) -> list[list]:
     out = []
     at = 0
@@ -494,15 +480,12 @@ def _split_blocks(flat: list, sizes: Sequence[int]) -> list[list]:
 
 
 def check_operad_laws(instance, seed: int, trials: int,
-                      max_arity: int = 3, allow_nullary: bool = True) -> LawReport:
+                      max_arity: int = 3, allow_nullary: bool = True) -> Report:
     """Sampled associativity, unit, and equivariance checks; exact equality."""
     rng = random.Random(seed)
-    violations: list[LawViolation] = []
-
-    def note(law: str, detail: str) -> None:
-        if len(violations) < 20:
-            violations.append(LawViolation(law, detail))
-
+    rep = Report(instance.name, {"seed": seed, "trials": trials,
+                                 "max_arity": max_arity,
+                                 "allow_nullary": allow_nullary}, cases=trials)
     unit = instance.unit()
     lo = 0 if allow_nullary else 1
     for t in range(trials):
@@ -515,9 +498,9 @@ def check_operad_laws(instance, seed: int, trials: int,
 
         try:
             if instance.compose(unit, [a]) != a:
-                note("unit-left", f"trial {t}")
+                rep.fail("unit-left", f"trial {t}")
             if instance.compose(a, [unit] * n) != a:
-                note("unit-right", f"trial {t}")
+                rep.fail("unit-right", f"trial {t}")
 
             ab = instance.compose(a, bs)
             lhs = instance.compose(ab, cs)
@@ -525,7 +508,7 @@ def check_operad_laws(instance, seed: int, trials: int,
                      for b, blk in zip(bs, _split_blocks(cs, sizes))]
             rhs = instance.compose(a, inner)
             if lhs != rhs:
-                note("associativity", f"trial {t}")
+                rep.fail("associativity", f"trial {t}")
 
             sigma = _rand_perm(rng, n)
             sigma_inv = sigma.inverse()
@@ -534,24 +517,26 @@ def check_operad_laws(instance, seed: int, trials: int,
             rho = block_perm(sigma, sizes)
             rhs = instance.act(instance.compose(a, permuted), rho)
             if lhs != rhs:
-                note("equivariance-outer", f"trial {t}")
+                rep.fail("equivariance-outer", f"trial {t}")
 
             taus = [_rand_perm(rng, b.arity) for b in bs]
             lhs = instance.compose(a, [instance.act(b, tau)
                                        for b, tau in zip(bs, taus)])
             rhs = instance.act(instance.compose(a, bs), block_sum(taus))
             if lhs != rhs:
-                note("equivariance-inner", f"trial {t}")
+                rep.fail("equivariance-inner", f"trial {t}")
         except (InvariantViolation, MismatchError) as exc:
-            note("closure", f"trial {t}: {exc}")
-    return LawReport(instance.name, trials, violations)
+            rep.fail("closure", f"trial {t}: {exc}")
+    return rep
 
 
 def check_operad_map(fn: Callable, src, dst, seed: int, trials: int,
-                     max_arity: int = 3, allow_nullary: bool = True) -> LawReport:
+                     max_arity: int = 3, allow_nullary: bool = True) -> Report:
     """Whether fn commutes with composition and the symmetric action."""
     rng = random.Random(seed)
-    violations: list[LawViolation] = []
+    rep = Report(f"map:{getattr(src, 'name', '?')}->{getattr(dst, 'name', '?')}",
+                 {"seed": seed, "trials": trials, "max_arity": max_arity,
+                  "allow_nullary": allow_nullary}, cases=trials)
     lo = 0 if allow_nullary else 1
     for t in range(trials):
         n = rng.randint(1, max_arity)
@@ -561,13 +546,10 @@ def check_operad_map(fn: Callable, src, dst, seed: int, trials: int,
             lhs = fn(src.compose(a, bs))
             rhs = dst.compose(fn(a), [fn(b) for b in bs])
             if lhs != rhs:
-                violations.append(LawViolation("map-compose", f"trial {t}"))
+                rep.fail("map-compose", f"trial {t}")
             sigma = _rand_perm(rng, n)
             if fn(src.act(a, sigma)) != dst.act(fn(a), sigma):
-                violations.append(LawViolation("map-equivariance", f"trial {t}"))
+                rep.fail("map-equivariance", f"trial {t}")
         except (InvariantViolation, MismatchError) as exc:
-            violations.append(LawViolation("map-closure", f"trial {t}: {exc}"))
-        if len(violations) >= 20:
-            break
-    return LawReport(f"map:{getattr(src, 'name', '?')}->{getattr(dst, 'name', '?')}",
-                     trials, violations)
+            rep.fail("map-closure", f"trial {t}: {exc}")
+    return rep

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import barcalc, circle, cyclic
@@ -15,6 +15,7 @@ from .operads import (ASSOC, COMPACT, FRAMED_C2, LITTLE_DISKS, SEMIDIRECT_C2,
                       little_to_compact, sample_ucompact, semidirect_iso,
                       semidirect_iso_inverse)
 from .rational import InvariantViolation, Turn
+from .report import Report
 
 
 @dataclass(frozen=True)
@@ -34,30 +35,6 @@ class RunConfig:
                 raise InvariantViolation(f"{name} must be >= 1")
 
 
-@dataclass
-class Report:
-    suite: str
-    config: dict
-    cases: int = 0
-    failures: list[dict] = field(default_factory=list)
-    elapsed_s: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def fail(self, law: str, witness: str, expected: str = "", got: str = "") -> None:
-        if len(self.failures) < 50:
-            self.failures.append({"law": law, "witness": witness,
-                                  "expected": expected, "got": got})
-
-    def to_json(self) -> dict:
-        return {"suite": self.suite, "config": self.config, "cases": self.cases,
-                "failures": sorted(self.failures,
-                                   key=lambda f: (f["law"], f["witness"])),
-                "ok": self.ok, "elapsed_s": round(self.elapsed_s, 3)}
-
-
 def _report(cfg: RunConfig) -> Report:
     config = {k: getattr(cfg, k) for k in
               ("suite", "seed", "trials", "n_max", "q_max", "m_max", "den")}
@@ -70,21 +47,14 @@ def run_operad_laws(cfg: RunConfig) -> Report:
     rep = _report(cfg)
     instances = [ASSOC, LITTLE_DISKS, FRAMED_C2, COMPACT, SEMIDIRECT_C2]
     for inst in instances:
-        allow0 = inst in (ASSOC, COMPACT)
-        law = check_operad_laws(inst, cfg.seed, cfg.trials, allow_nullary=allow0)
-        rep.cases += cfg.trials
-        for v in law.violations:
-            rep.fail(f"{inst.name}:{v.law}", v.detail)
+        rep.absorb(check_operad_laws(inst, cfg.seed, cfg.trials,
+                                     allow_nullary=inst.allow_nullary), inst.name)
     for fn, src, dst, name in [
             (assoc_to_compact, ASSOC, COMPACT, "assoc->dc"),
             (little_to_compact, LITTLE_DISKS, COMPACT, "dR->dc"),
             (semidirect_iso, SEMIDIRECT_C2, FRAMED_C2, "semidirect->framed")]:
-        allow0 = src is ASSOC
-        law = check_operad_map(fn, src, dst, cfg.seed + 1, cfg.trials,
-                               allow_nullary=allow0)
-        rep.cases += cfg.trials
-        for v in law.violations:
-            rep.fail(f"{name}:{v.law}", v.detail)
+        rep.absorb(check_operad_map(fn, src, dst, cfg.seed + 1, cfg.trials,
+                                    allow_nullary=src.allow_nullary), name)
     # the iso is a bijection
     rng = random.Random(cfg.seed + 2)
     for t in range(cfg.trials):
@@ -183,11 +153,9 @@ def run_cyclic_relations(cfg: RunConfig) -> Report:
     rep = _report(cfg)
     for m in range(1, cfg.m_max + 1):
         for R in barcalc.standard_monoids(m):
-            out = barcalc.verify_cyclic_object(R, cfg.q_max, seed=cfg.seed,
-                                               trials=cfg.trials)
-            rep.cases += out.cases
-            for f in out.failures:
-                rep.fail(f"cyclic[{R.name},m={m}]", f)
+            rep.absorb(barcalc.verify_cyclic_object(R, cfg.q_max, seed=cfg.seed,
+                                                    trials=cfg.trials),
+                       f"cyclic[{R.name},m={m}]")
     rng = random.Random(cfg.seed)
     for t in range(cfg.trials):
         m = rng.randint(1, min(cfg.m_max, 3))
@@ -220,11 +188,9 @@ def run_lambda_iso(cfg: RunConfig) -> Report:
             rep.fail("circle-equivariance", f"trial {t}")
     for m in range(1, cfg.m_max + 1):
         Xm = barcalc.pointed_set("x", ["x"], m)
-        out = barcalc.check_thm_cycbar_free(Xm, cfg.q_max + 1, m, cfg.den,
-                                            verify_reps=5)
-        rep.cases += sum(e["left_classes"] for e in out.per_degree)
-        for f in out.failures:
-            rep.fail(f"orbit-classes[m={m}]", f)
+        rep.absorb(barcalc.check_thm_cycbar_free(Xm, cfg.q_max + 1, m, cfg.den,
+                                                 verify_reps=5),
+                   f"orbit-classes[m={m}]")
     return rep
 
 
@@ -235,11 +201,9 @@ def run_thm_cycbar(cfg: RunConfig) -> Report:
         # letter swap of order 2 when it divides m, else the trivial action
         sigma = {"x": "y", "y": "x"} if m % 2 == 0 else {}
         X = barcalc.pointed_set("letters", letters, m, sigma)
-        out = barcalc.check_thm_cycbar_free(X, cfg.n_max, m, cfg.den,
-                                            verify_reps=20)
-        rep.cases += sum(e["left_classes"] for e in out.per_degree)
-        for f in out.failures:
-            rep.fail(f"thm-cycbar[m={m}]", f)
+        rep.absorb(barcalc.check_thm_cycbar_free(X, cfg.n_max, m, cfg.den,
+                                                 verify_reps=20),
+                   f"thm-cycbar[m={m}]")
     return rep
 
 

@@ -45,7 +45,7 @@ def test_criterion_01_operad_law_suite():
                               (FRAMED_C2, False), (COMPACT, True)]:
             rep = check_operad_laws(inst, seed=2024, trials=1000,
                                     allow_nullary=nullary)
-            assert rep.ok, (inst.name, rep.violations[:3])
+            assert rep.ok, (inst.name, rep.failures[:3])
         elapsed = time.monotonic() - start
         assert elapsed < 30, f"law suite took {elapsed:.1f}s"
 
@@ -55,7 +55,7 @@ def test_criterion_02_semidirect_isomorphism():
                       "composition intertwining on >= 10^3 samples"):
         rep = check_operad_map(semidirect_iso, SEMIDIRECT_C2, FRAMED_C2,
                                seed=7, trials=1000, allow_nullary=False)
-        assert rep.ok, rep.violations[:3]
+        assert rep.ok, rep.failures[:3]
         rng = random.Random(8)
         for _ in range(1000):
             x = SEMIDIRECT_C2.sample(rng, rng.randint(1, 3))
@@ -67,10 +67,10 @@ def test_criterion_03_operad_maps_to_compactified():
                       "commute with composition and symmetries on >= 10^3 samples"):
         rep = check_operad_map(assoc_to_compact, ASSOC, COMPACT, seed=9,
                                trials=1000, max_arity=4)
-        assert rep.ok, rep.violations[:3]
+        assert rep.ok, rep.failures[:3]
         rep = check_operad_map(little_to_compact, LITTLE_DISKS, COMPACT,
                                seed=10, trials=1000, allow_nullary=False)
-        assert rep.ok, rep.violations[:3]
+        assert rep.ok, rep.failures[:3]
 
 
 def test_criterion_04_compactified_arc_composition():

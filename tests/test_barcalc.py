@@ -24,8 +24,10 @@ from arcbar.barcalc import (BASE_WORD, BarComplex, EMPTY_WORD, OVERFLOW_WORD,
 from arcbar.circle import (circle_act, sample_ucc, sample_uec, system,
                            wreath_act)
 from arcbar.cyclic import circle_act_point, sample_point, twist_point
-from arcbar.groups import GroupAction, act_labels, upsilon, znwrcm_elements
+from arcbar.groups import act_labels, upsilon, znwrcm_elements
 from arcbar.rational import InvariantViolation, Turn
+from arcbar.report import MAX_LISTED
+from arcbar.suites import RunConfig, run_suite
 
 
 def test_monoid_construction_and_validation():
@@ -58,6 +60,20 @@ def test_sigma_pow_table_matches_iterated_sigma():
                 assert T.sigma_pow(w, k) == _iterate(T.sigma, w, k % X.m), (X.name, w, k)
     with pytest.raises(InvariantViolation):
         pointed_set("bad", ["a", "b", "c"], 2, {"a": "b", "b": "c", "c": "a"})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pointed_set("X", ["x", "x"], 1),     # duplicate letter
+    lambda: pointed_set("Y", ["*"], 2),          # a letter named like the base
+    lambda: pointed_set("Z", ["x"], 2, {"x": "*", "*": "x"}),  # moves the base
+    lambda: pointed_set("W", ["x", "y"], 1, {"x": "y"}),       # not a bijection
+    lambda: FinCmMonoid("M", ("*", "e", "e"), "*", "e", 1,
+                        (("*",) * 3,) * 3, ("*", "e", "e")),
+    lambda: FinCmMonoid("N", ("e",), "*", "e", 1, (("e",),), ("e",)),
+])
+def test_pointed_cm_validation_rejects(build):
+    with pytest.raises(InvariantViolation):
+        build()
 
 
 def test_cyclic_face_examples():
@@ -156,10 +172,12 @@ def test_nilpotent_monoid_collapses_and_passes():
 
 def _mutated_reports():
     """(cases, failures) for the standard monoids at m <= 4, q <= 3, with a
-    wrong operator patched into barcalc."""
-    return [[r.cases, r.failures] for r in (
-        verify_cyclic_object(R, 3, cap=4096, seed=5, trials=50)
-        for m in (1, 2, 3, 4) for R in standard_monoids(m))]
+    wrong operator patched into barcalc.  Each failure is read back in the
+    text it had when the relation report kept strings, capped at 25, so the
+    recorded digests also pin the order and the wording of laws and witnesses."""
+    return [[r.cases, [f"{f['law']} fails at {f['witness']}" for f in r.failures[:25]]]
+            for r in (verify_cyclic_object(R, 3, cap=4096, seed=5, trials=50)
+                      for m in (1, 2, 3, 4) for R in standard_monoids(m))]
 
 
 def _bad_degeneracy(R, i, t):  # inserts the unit at i instead of i + 1
@@ -189,6 +207,18 @@ def test_verify_cyclic_object_digest_under_mutated_operator(monkeypatch, name, b
     assert sum(len(f) for _, f in reports) > 0
     blob = json.dumps(reports).encode()
     assert hashlib.sha256(blob).hexdigest() == _MUTATED_DIGESTS[name]
+
+
+def test_cyclic_relations_suite_lists_capped_prefixed_failures(monkeypatch):
+    monkeypatch.setattr(barcalc, "cyclic_degeneracy", _bad_degeneracy)
+    rep = run_suite(RunConfig("cyclic-relations", seed=1, trials=20, q_max=3,
+                              m_max=2))
+    assert not rep.ok
+    assert len(rep.failures) == MAX_LISTED
+    assert all(f["law"].startswith("cyclic[") for f in rep.failures)
+    assert rep.failures[0] == {"law": "cyclic[c2,m=1]:d_2 s_0",
+                               "witness": "q=1, t=('g0', 'g1')",
+                               "expected": "", "got": ""}
 
 
 def test_verify_cyclic_object_standard_battery():
@@ -337,11 +367,15 @@ def _diagonal_act(coeffs):
     return act
 
 
+def _orbit_min(elements, act, point, key):
+    """Least point of an orbit, by enumerating the group."""
+    return min((act(g, point) for g in elements), key=key)
+
+
 def _brute_orbit(coeffs, x, labels):
     """Least (space, labels) over the whole wreath group, by enumeration."""
-    action = GroupAction(tuple(znwrcm_elements(x.n, x.m)), _diagonal_act(coeffs))
-    return action.canon((x, tuple(labels)),
-                        key=lambda pt: (pt[0].sort_key(), pt[1]))
+    return _orbit_min(znwrcm_elements(x.n, x.m), _diagonal_act(coeffs),
+                      (x, tuple(labels)), key=lambda pt: (pt[0].sort_key(), pt[1]))
 
 
 def test_labeled_orbit_basics():
@@ -506,13 +540,12 @@ def test_lambda_canon_equals_brute_force():
                                         lambda c, y: X.sigma_pow(y, c.exponent))
                 return p, labels
 
-            action = GroupAction(tuple(range(m * n)), act)
             for _ in range(4):
                 p = sample_point(rng, m, n - 1)
                 labels = tuple(rng.choice(X.nonbase()) for _ in range(n))
                 cls = _lambda_canon(X, p, labels)
-                want = action.canon((p, labels),
-                                    key=lambda pt: (pt[0].sort_key(), pt[1]))
+                want = _orbit_min(range(m * n), act, (p, labels),
+                                  key=lambda pt: (pt[0].sort_key(), pt[1]))
                 assert (cls.point, cls.labels) == want, (m, n)
 
 

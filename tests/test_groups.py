@@ -3,10 +3,16 @@ import random
 
 import pytest
 
-from arcbar.groups import (CyclicElem, GroupAction, Perm, WreathElem,
-                           act_labels, block_cycle_perm, block_perm, block_sum,
-                           orbit_canon, slot_act, upsilon, znwrcm_elements)
+from arcbar.groups import (CyclicElem, Perm, WreathElem, act_labels,
+                           block_cycle_perm, block_perm, block_sum, slot_act,
+                           upsilon, znwrcm_elements)
 from arcbar.rational import InvariantViolation, MismatchError
+
+
+def orbit_canon(elements, act, point):
+    """Least point of an orbit, by enumerating the group: the brute-force
+    oracle that the closed-form canonicalizations are tested against."""
+    return min(act(g, point) for g in elements)
 
 
 def rand_perm(rng, n):
@@ -61,7 +67,10 @@ def test_upsilon_order():
     for n in range(1, 7):
         for m in range(1, 7):
             u = upsilon(m, n)
-            assert u.order() == m * n
+            g, order = u, 1
+            while not g.is_identity():
+                g, order = g.compose(u), order + 1
+            assert order == m * n
     assert upsilon(1, 2).compose(upsilon(1, 2)).is_identity()
 
 
@@ -158,25 +167,22 @@ def test_block_perm_cocycle():
 def test_orbit_canon():
     swap = WreathElem(Perm((1, 0)), (CyclicElem(1, 0), CyclicElem(1, 0)))
     ident = WreathElem.identity(2, CyclicElem.identity(1))
-    action = GroupAction((ident, swap),
-                         lambda g, pt: slot_act(g, pt, lambda x, c: x))
-    assert orbit_canon(action, ("b", "a")) == ("a", "b")
-    assert orbit_canon(action, ("a", "b")) == ("a", "b")
-    trivial = GroupAction((ident,), lambda g, pt: pt)
-    assert orbit_canon(trivial, ("b", "a")) == ("b", "a")
+    swap_act = lambda g, pt: slot_act(g, pt, lambda x, c: x)
+    assert orbit_canon((ident, swap), swap_act, ("b", "a")) == ("a", "b")
+    assert orbit_canon((ident, swap), swap_act, ("a", "b")) == ("a", "b")
+    assert orbit_canon((ident,), lambda g, pt: pt, ("b", "a")) == ("b", "a")
     # idempotent and invariant under every group element
     rng = random.Random(5)
     for n, m in [(2, 2), (3, 2), (2, 3)]:
         elems = tuple(znwrcm_elements(n, m))
         act = lambda g, pt: slot_act(
             g, pt, lambda x, c: (x[0], (x[1] + c.exponent) % m))
-        action = GroupAction(elems, act)
         for _ in range(30):
             pt = tuple((rng.randrange(3), rng.randrange(m)) for _ in range(n))
-            canon = orbit_canon(action, pt)
-            assert orbit_canon(action, canon) == canon
+            canon = orbit_canon(elems, act, pt)
+            assert orbit_canon(elems, act, canon) == canon
             for g in elems:
-                assert orbit_canon(action, act(g, pt)) == canon
+                assert orbit_canon(elems, act, act(g, pt)) == canon
 
 
 def test_znwrcm_enumeration_size():

@@ -15,6 +15,7 @@ from arcbar.operads import (ASSOC, C2_SIGN, COMPACT, FRAMED_C2, LITTLE_DISKS,
                             operad_compose, semidirect_iso,
                             semidirect_iso_inverse, validate_compact)
 from arcbar.rational import InvariantViolation, MismatchError
+from arcbar.report import MAX_LISTED
 
 
 def test_little_disk_composition_example():
@@ -74,7 +75,7 @@ def test_compact_invariants():
     (COMPACT, True), (SEMIDIRECT_C2, False)])
 def test_law_harness_passes(inst, nullary):
     rep = check_operad_laws(inst, seed=11, trials=200, allow_nullary=nullary)
-    assert rep.ok, rep.violations[:5]
+    assert rep.ok, rep.failures[:5]
 
 
 def test_assoc_to_compact_map():
@@ -83,20 +84,20 @@ def test_assoc_to_compact_map():
     assert assoc_to_compact(AssocElem(Perm(()))).arity == 0
     rep = check_operad_map(assoc_to_compact, ASSOC, COMPACT, seed=3, trials=300,
                            max_arity=4)
-    assert rep.ok, rep.violations[:5]
+    assert rep.ok, rep.failures[:5]
 
 
 def test_little_to_compact_map():
     rep = check_operad_map(little_to_compact, LITTLE_DISKS, COMPACT, seed=5,
                            trials=300, allow_nullary=False)
-    assert rep.ok, rep.violations[:5]
+    assert rep.ok, rep.failures[:5]
 
 
 def test_semidirect_iso():
     rng = random.Random(9)
     rep = check_operad_map(semidirect_iso, SEMIDIRECT_C2, FRAMED_C2, seed=7,
                            trials=300, allow_nullary=False)
-    assert rep.ok, rep.violations[:5]
+    assert rep.ok, rep.failures[:5]
     for _ in range(300):
         x = SEMIDIRECT_C2.sample(rng, rng.randint(1, 3))
         assert semidirect_iso_inverse(semidirect_iso(x)) == x
@@ -122,17 +123,27 @@ def test_named_map_registry():
     for tag, (fn, src, dst) in OPERAD_MAPS.items():
         rep = check_operad_map(fn, src, dst, seed=1, trials=120,
                                allow_nullary=src is ASSOC)
-        assert rep.ok, (tag, rep.violations[:3])
+        assert rep.ok, (tag, rep.failures[:3])
+
+
+class _UntwistedSemidirect(SemidirectOperad):
+    """The semidirect operad with the conjugation twist dropped."""
+
+    def _conjugate(self, h, d):
+        return d
 
 
 def test_corrupted_semidirect_caught_by_map_check():
     # dropping the conjugation twist leaves a lawful product operad, so the
     # defect surfaces in the comparison map, not in the bare law triple
-    corrupted = SemidirectOperad(C2_SIGN, twist=False)
+    corrupted = _UntwistedSemidirect(C2_SIGN)
     rep = check_operad_map(semidirect_iso, corrupted, FRAMED_C2, seed=0,
                            trials=200, allow_nullary=False)
     assert not rep.ok
-    assert any(v.law == "map-compose" for v in rep.violations)
+    assert any(v["law"] == "map-compose" for v in rep.failures)
+    # every trial runs; the failure list stops at the cap, the verdict does not
+    assert rep.cases == 200
+    assert len(rep.failures) == MAX_LISTED
 
 
 # -- independent oracle for the compactified composition ---------------------

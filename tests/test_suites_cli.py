@@ -5,9 +5,12 @@ import json
 
 import pytest
 
-from arcbar import cli, jsonio
+from arcbar import barcalc, cli, jsonio
 from arcbar.rational import InvariantViolation
-from arcbar.suites import SUITES, Report, RunConfig, run_suite
+from arcbar.report import Report
+from arcbar.suites import SUITES, RunConfig, run_suite
+
+_REPORT_KEYS = {"suite", "config", "cases", "failures", "ok", "elapsed_s"}
 
 
 def test_unknown_suite():
@@ -150,6 +153,34 @@ def test_cli_suite_and_exit(capsys):
     assert cli.main(["suite", "operad-laws", "--trials", "20"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] and data["suite"] == "operad-laws"
+
+
+def test_cli_operad_verify_instance_prints_a_report(capsys):
+    # the instance decides whether nullary elements are sampled
+    for name, nullary in [("dR", False), ("dc", True)]:
+        assert cli.main(["operad", "verify", "--instance", name,
+                         "--trials", "5"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert set(data) == _REPORT_KEYS
+        assert data["ok"] and data["cases"] == 5
+        assert data["config"]["allow_nullary"] is nullary
+
+
+def test_cli_cyclic_verify_monoid_fails_with_a_report(monkeypatch, capsys):
+    def bad_degeneracy(R, i, t):  # inserts the unit at i instead of i + 1
+        return barcalc.collapse(R, t[:i] + (R.unit,) + t[i:])
+
+    monoid = json.dumps(jsonio.monoid_to_json(barcalc.pointed_cyclic_monoid("c2", 2, 2)))
+    argv = ["bar", "cyclic-verify", "--monoid", monoid, "--qmax", "2"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    monkeypatch.setattr(barcalc, "cyclic_degeneracy", bad_degeneracy)
+    assert cli.main(argv) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert set(data) == _REPORT_KEYS
+    assert data["suite"] == "cyclic-relations[c2, m=2]"
+    assert data["cases"] == 3 ** 2 + 3 ** 3
+    assert not data["ok"] and data["failures"]
 
 
 def test_cli_embed_compose(capsys):
