@@ -7,92 +7,114 @@ comparison with the cyclic space model.
 from __future__ import annotations
 
 import itertools
-import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .circle import ArcSystem, compose_uec, sample_ucc
 from .cyclic import CyclicPoint, align_ucc, lambda_to_ucc, ucc_to_lambda
-from .groups import CyclicElem, act_labels
+from .groups import act_labels
 from .rational import InvariantViolation, MismatchError, Turn
 from .report import Report
 
 # ---------------------------------------------------------------------------
-# finite pointed C_m-monoids
+# finite pointed C_m-sets and C_m-monoids
 # ---------------------------------------------------------------------------
 
-def _pointed_cm_tables(elements: Sequence[str], base: str,
-                       sigma_table: Sequence[str], m: int
-                       ) -> tuple[dict[str, str], dict[str, tuple[str, ...]]]:
-    """Validate a finite pointed C_m-set: distinct element names, the
-    basepoint among them, sigma a bijection fixing it, and sigma^m = id.
-    Returns the tables x -> sigma x and x -> (x, sigma x, ..., sigma^(m-1) x)."""
-    if len(set(elements)) != len(elements):
-        raise InvariantViolation("duplicate element names")
-    if base not in elements:
-        raise InvariantViolation(f"{base!r} not among the elements")
-    if len(sigma_table) != len(elements):
-        raise InvariantViolation("sigma table must cover all elements")
-    if sorted(sigma_table) != sorted(elements):
-        raise InvariantViolation("sigma must be a bijection")
-    sigma = dict(zip(elements, sigma_table))
-    if sigma[base] != base:
-        raise InvariantViolation("sigma must fix the basepoint")
-    powers = {}
-    for e in elements:
-        row = [e]
-        for _ in range(m - 1):
-            row.append(sigma[row[-1]])
-        if sigma[row[-1]] != e:
-            raise InvariantViolation("sigma order does not divide m")
-        powers[e] = tuple(row)
-    return sigma, powers
-
-
 @dataclass(frozen=True)
-class FinCmMonoid:
-    """A finite pointed monoid with basepoint-absorbing multiplication and a
-    monoid automorphism generating a C_m-action."""
+class PointedCmSet:
+    """A finite pointed set with a C_m-action: the letters of a free algebra,
+    and the underlying set of every coefficient monoid.
+
+    The one place sigma is validated and tabulated: `_sig[x]` is sigma x and
+    `_powers[x]` is (x, sigma x, ..., sigma^(m-1) x)."""
 
     name: str
     elements: tuple[str, ...]
     base: str
-    unit: str
     m: int
-    mul_table: tuple[tuple[str, ...], ...]
     sigma_table: tuple[str, ...]
+    _sig: dict[str, str] = field(init=False, repr=False, compare=False)
+    _powers: dict[str, tuple[str, ...]] = field(init=False, repr=False,
+                                                compare=False)
 
     def __post_init__(self) -> None:
-        # _mul[a][b] = ab and _sig[a] = sigma a, which the bar operators read;
-        # validate rejects a ragged or short product table before reading it
-        sig, powers = _pointed_cm_tables(self.elements, self.base,
-                                         self.sigma_table, self.m)
+        es = self.elements
+        if self.m < 1:
+            raise InvariantViolation("m must be >= 1")
+        if len(set(es)) != len(es):
+            raise InvariantViolation("duplicate element names")
+        if self.base not in es:
+            raise InvariantViolation(f"{self.base!r} not among the elements")
+        if len(self.sigma_table) != len(es):
+            raise InvariantViolation("sigma table must cover all elements")
+        if sorted(self.sigma_table) != sorted(es):
+            raise InvariantViolation("sigma must be a bijection")
+        sig = dict(zip(es, self.sigma_table))
+        if sig[self.base] != self.base:
+            raise InvariantViolation("sigma must fix the basepoint")
+        powers = {}
+        for e in es:
+            row = [e]
+            for _ in range(self.m - 1):
+                row.append(sig[row[-1]])
+            if sig[row[-1]] != e:
+                raise InvariantViolation("sigma order does not divide m")
+            powers[e] = tuple(row)
         object.__setattr__(self, "_sig", sig)
         object.__setattr__(self, "_powers", powers)
+
+    def sigma(self, x: str) -> str:
+        return self._sig[x]
+
+    def sigma_pow(self, x: str, k: int) -> str:
+        return self._powers[x][k % self.m]
+
+    def nonbase(self) -> tuple[str, ...]:
+        return tuple(e for e in self.elements if e != self.base)
+
+
+def pointed_set(name: str, letters: Sequence[str], m: int,
+                sigma: dict[str, str] | None = None) -> PointedCmSet:
+    """The pointed C_m-set {*} u letters; `sigma` maps letters to letters and
+    fixes every letter it leaves out."""
+    elements = ("*",) + tuple(letters)
+    sigma = sigma or {}
+    unknown = sorted(set(sigma) - set(elements))
+    if unknown:
+        raise InvariantViolation(f"sigma names unknown letter {unknown[0]!r}")
+    return PointedCmSet(name, elements, "*", m,
+                        tuple(sigma.get(e, e) for e in elements))
+
+
+@dataclass(frozen=True, kw_only=True)
+class FinCmMonoid(PointedCmSet):
+    """A finite pointed C_m-set with a basepoint-absorbing multiplication and
+    a unit, on which sigma acts by monoid automorphisms."""
+
+    unit: str
+    mul_table: tuple[tuple[str, ...], ...]
+    _mul: dict[str, dict[str, str]] = field(init=False, repr=False,
+                                            compare=False)
+
+    def __post_init__(self) -> None:
+        # sigma is checked first; validate rejects a ragged or short product
+        # table before reading _mul[a][b] = ab, which the bar operators read
+        super().__post_init__()
         object.__setattr__(self, "_mul", {
             a: dict(zip(self.elements, row))
             for a, row in zip(self.elements, self.mul_table)})
         self.validate()
 
     def multiply(self, a: str, b: str) -> str:
-        return self._mul[a][b]  # type: ignore[attr-defined]
-
-    def sigma(self, a: str) -> str:
-        return self._sig[a]  # type: ignore[attr-defined]
-
-    def sigma_pow(self, a: str, k: int) -> str:
-        return self._powers[a][k % self.m]  # type: ignore[attr-defined]
+        return self._mul[a][b]
 
     def product(self, xs: Sequence[str]) -> str:
         out = self.unit
         for x in xs:
             out = self.multiply(out, x)
         return out
-
-    def nonbase(self) -> tuple[str, ...]:
-        return tuple(e for e in self.elements if e != self.base)
 
     def validate(self) -> None:
         es = self.elements
@@ -101,6 +123,13 @@ class FinCmMonoid:
         if len(self.mul_table) != len(es) or any(len(r) != len(es)
                                                  for r in self.mul_table):
             raise InvariantViolation("multiplication table must be square")
+        known = set(es)
+        for a in es:
+            for b in es:
+                x = self.multiply(a, b)
+                if x not in known:
+                    raise InvariantViolation(
+                        f"product {a}*{b} = {x!r} not among the elements")
         for a in es:
             if self.multiply(a, self.base) != self.base or \
                     self.multiply(self.base, a) != self.base:
@@ -139,16 +168,14 @@ def pointed_cyclic_monoid(name: str, k: int, m: int, sigma_mult: int = 1) -> Fin
 
     mul_table = tuple(tuple(mul(a, b) for b in names) for a in names)
     sigma_table = tuple(sig(a) for a in names)
-    return FinCmMonoid(name, elements, "*", "g0", m, mul_table, sigma_table)
-
-
-def trivial_monoid(m: int) -> FinCmMonoid:
-    return pointed_cyclic_monoid("trivial", 1, m)
+    return FinCmMonoid(name=name, elements=elements, base="*", m=m,
+                       sigma_table=sigma_table, unit="g0", mul_table=mul_table)
 
 
 def standard_monoids(m: int) -> list[FinCmMonoid]:
     """The test coefficients available at a given cyclic order."""
-    out = [trivial_monoid(m), pointed_cyclic_monoid("c2", 2, m)]
+    out = [pointed_cyclic_monoid("trivial", 1, m),
+           pointed_cyclic_monoid("c2", 2, m)]
     if m % 2 == 0:
         out.append(pointed_cyclic_monoid("c3-inv", 3, m, sigma_mult=-1))
     if m % 3 == 0:
@@ -177,7 +204,7 @@ def collapse(R: FinCmMonoid, t: Tuple_) -> Tuple_:
 def cyclic_twist(R: FinCmMonoid, t: Tuple_) -> Tuple_:
     if R.base in t:
         return (R.base,) * len(t)
-    return (R._sig[t[-1]],) + t[:-1]  # type: ignore[attr-defined]
+    return (R._sig[t[-1]],) + t[:-1]
 
 
 def cyclic_face(R: FinCmMonoid, i: int, t: Tuple_) -> Tuple_:
@@ -188,10 +215,10 @@ def cyclic_face(R: FinCmMonoid, i: int, t: Tuple_) -> Tuple_:
     if base in t:
         return (base,) * q
     if i < q:
-        x = R._mul[t[i]][t[i + 1]]  # type: ignore[attr-defined]
+        x = R._mul[t[i]][t[i + 1]]
         return (base,) * q if x == base else t[:i] + (x,) + t[i + 2:]
     # d_q = d_0 tau_q
-    x = R._mul[R._sig[t[q]]][t[0]]  # type: ignore[attr-defined]
+    x = R._mul[R._sig[t[q]]][t[0]]
     return (base,) * q if x == base else (x,) + t[1:q]
 
 
@@ -280,63 +307,26 @@ def verify_cyclic_object(R: FinCmMonoid, q_max: int, cap: int = 100_000,
     return rep
 
 
-def twist_order(R: FinCmMonoid, q: int, probe: Tuple_ | None = None,
-                cap: int = 10_000) -> int:
-    """Order of the twist on degree-q tuples (maximum over probes)."""
-    probes: Iterable[Tuple_]
-    if probe is not None:
-        probes = [probe]
-    else:
-        probes = itertools.islice(itertools.product(R.nonbase(), repeat=q + 1), 64)
-    best = 1
-    for t in probes:
-        cur = cyclic_twist(R, t)
-        k = 1
-        while cur != t:
-            cur = cyclic_twist(R, cur)
-            k += 1
-            if k > cap:
-                raise InvariantViolation("twist order exceeds cap")
-        best = math.lcm(best, k)
-    return best
+_TWIST_ORDER_CAP = 10_000
+
+
+def twist_order(R: FinCmMonoid, q: int, probe: Tuple_) -> int:
+    """Order of the twist on the degree-q tuple `probe`."""
+    if len(probe) != q + 1:
+        raise MismatchError(f"a degree-{q} tuple has {q + 1} entries")
+    cur = cyclic_twist(R, probe)
+    k = 1
+    while cur != probe:
+        cur = cyclic_twist(R, cur)
+        k += 1
+        if k > _TWIST_ORDER_CAP:
+            raise InvariantViolation("twist order exceeds cap")
+    return k
 
 
 # ---------------------------------------------------------------------------
 # the truncated free monoid monad
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PointedCmSet:
-    """A finite pointed set with a C_m-action (the letters of a free algebra)."""
-
-    name: str
-    elements: tuple[str, ...]
-    base: str
-    m: int
-    sigma_table: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        sig, powers = _pointed_cm_tables(self.elements, self.base,
-                                         self.sigma_table, self.m)
-        object.__setattr__(self, "_sig", sig)
-        object.__setattr__(self, "_powers", powers)
-
-    def sigma(self, x: str) -> str:
-        return self._sig[x]  # type: ignore[attr-defined]
-
-    def sigma_pow(self, x: str, k: int) -> str:
-        return self._powers[x][k % self.m]  # type: ignore[attr-defined]
-
-    def nonbase(self) -> tuple[str, ...]:
-        return tuple(e for e in self.elements if e != self.base)
-
-
-def pointed_set(name: str, letters: Sequence[str], m: int,
-                sigma: dict[str, str] | None = None) -> PointedCmSet:
-    elements = ("*",) + tuple(letters)
-    table = tuple((sigma or {}).get(e, e) for e in elements)
-    return PointedCmSet(name, elements, "*", m, table)
-
 
 @dataclass(frozen=True)
 class FreeWord:
@@ -389,9 +379,7 @@ class FreeMonoid:
         return out
 
     def sigma(self, w: FreeWord) -> FreeWord:
-        if w.flag != "ok":
-            return w
-        return FreeWord(tuple(self.letters.sigma(x) for x in w.letters))
+        return self.sigma_pow(w, 1)
 
     def sigma_pow(self, w: FreeWord, k: int) -> FreeWord:
         if w.flag != "ok":
@@ -455,14 +443,11 @@ class BarComplex:
                 return OVERFLOW_ELEM
         return tuple(out)
 
-    def _eval_word(self, x):
-        return self.R.product(x)
-
     def face(self, q: int, i: int, x):
         if not (0 <= i <= q) or q < 1:
             raise MismatchError(f"face d_{i} undefined at bar level {q}")
         if i == 0:
-            out = self._map_level(x, q, self._eval_word)
+            out = self._map_level(x, q, self.R.product)
         else:
             out = self._map_level(x, q - i, self._flatten_word)
         return self.normalize(out)
@@ -498,10 +483,6 @@ class BarComplex:
 # labeled orbits and the compressed functor
 # ---------------------------------------------------------------------------
 
-def _label_act(member: CyclicElem, coeff: str, coeffs) -> str:
-    return coeffs.sigma_pow(coeff, member.exponent)
-
-
 @dataclass(frozen=True)
 class LabeledOrbit:
     """Canonical representative of an (arc system, coefficient tuple) pair
@@ -533,7 +514,8 @@ def _canon_slots(zs: Sequence, rest: tuple, labels: Sequence[str], quantum,
     return min(tuple(c[k:] + c[:k] for c in cols) for k in range(len(zs)))
 
 
-def labeled_orbit(coeffs, space: ArcSystem, labels: Sequence[str]) -> LabeledOrbit:
+def labeled_orbit(coeffs: PointedCmSet, space: ArcSystem,
+                  labels: Sequence[str]) -> LabeledOrbit:
     """Canonicalize an (arc system, labels) pair; basepoint labels collapse."""
     labels = tuple(labels)
     m, n = space.m, space.n
@@ -553,8 +535,8 @@ def labeled_orbit(coeffs, space: ArcSystem, labels: Sequence[str]) -> LabeledOrb
     return LabeledOrbit(m, n, space_c, labels_c, "point")
 
 
-def compressed_cc(coeffs, n_max: int, per_degree: int = 20, seed: int = 0,
-                  den: int = 4) -> dict[int, list[LabeledOrbit]]:
+def compressed_cc(coeffs: PointedCmSet, n_max: int, per_degree: int = 20,
+                  seed: int = 0, den: int = 4) -> dict[int, list[LabeledOrbit]]:
     """Sampled orbit representatives of the compressed functor by arity: the
     single unit orbit at arity 0, canonical (space, labels) classes above."""
     rng = random.Random(seed)
@@ -626,14 +608,15 @@ def _canon_twists(rbar, ts: tuple, labels: tuple[str, ...], one,
     return min(cands)
 
 
-def _lambda_canon(coeffs, p: CyclicPoint, labels: tuple[str, ...]) -> LambdaClass:
+def _lambda_canon(coeffs: PointedCmSet, p: CyclicPoint,
+                  labels: tuple[str, ...]) -> LambdaClass:
     rbar, simplex, labels_c = _canon_twists(p.rbar.value, p.simplex, labels, 1,
                                             coeffs.sigma_pow)
     return LambdaClass(p.m, p.q + 1, CyclicPoint(p.m, Turn(rbar, Fraction(p.m)),
                                                  simplex), labels_c, "point")
 
 
-def map_c_to_l(coeffs, orbit: LabeledOrbit) -> LambdaClass:
+def map_c_to_l(coeffs: PointedCmSet, orbit: LabeledOrbit) -> LambdaClass:
     """Comparison map: align the space coordinate, read off base angle and
     simplex coordinates, canonicalize under the order-mn cyclic action."""
     if orbit.kind == "base":
@@ -644,12 +627,12 @@ def map_c_to_l(coeffs, orbit: LabeledOrbit) -> LambdaClass:
         raise InvariantViolation("a point orbit needs a space and labels")
     aligned, g0 = align_ucc(orbit.space)
     labels = act_labels(g0, orbit.labels,
-                        lambda c, y: _label_act(c, y, coeffs))
+                        lambda c, y: coeffs.sigma_pow(y, c.exponent))
     p = ucc_to_lambda(aligned)
     return _lambda_canon(coeffs, p, labels)
 
 
-def lambda_class_to_orbit(coeffs, cls: LambdaClass) -> LabeledOrbit:
+def lambda_class_to_orbit(coeffs: PointedCmSet, cls: LambdaClass) -> LabeledOrbit:
     """The inverse on classes, through the forward point-level map."""
     if cls.kind == "base":
         return LabeledOrbit(cls.m, cls.n, None, None, "base")
@@ -673,7 +656,7 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _encode_space(x: ArcSystem, labels, coeffs, den: int):
+def _encode_space(x: ArcSystem, labels, den: int):
     scale = x.m * den
     zs = []
     for z, _ in x.pairs:
@@ -780,7 +763,7 @@ def check_thm_cycbar_free(X: PointedCmSet, n_max: int, m: int, den: int = 4,
             # inverse (through the forward parametrization) on every class
             for img, cls in images.items():
                 p, labels = _decode_lambda(m, den, img)
-                back = _encode_space(lambda_to_ucc(p), labels, X, den)
+                back = _encode_space(lambda_to_ucc(p), labels, den)
                 if space_canon(back) != cls:
                     rep.fail("explicit-inverse", f"n={n}")
                     break

@@ -372,8 +372,8 @@ def from_pair(p: SystemWithPerm) -> ArcSystem:
 # ---------------------------------------------------------------------------
 
 def sample_uec(rng: random.Random, m: int, n: int, den: int = 8,
-               allow_zero_gaps: bool = True, allow_zero_radii: bool = True,
-               spread: bool = True) -> ArcSystem:
+               allow_zero_gaps: bool = True,
+               allow_zero_radii: bool = True) -> ArcSystem:
     """Seeded random point of the compactified ordered configuration space.
 
     With allow_zero_radii=False the whole point is drawn again until every
@@ -390,7 +390,7 @@ def sample_uec(rng: random.Random, m: int, n: int, den: int = 8,
         z0 = _draw_rat(rng, den, Fraction(0), Fraction(1))
         zs = [Turn(z0)]
         for j in range(n - 1):
-            shift = Fraction(rng.randrange(m), m) if (spread and m > 1) else Fraction(0)
+            shift = Fraction(rng.randrange(m), m) if m > 1 else Fraction(0)
             zs.append(zs[-1] + phi[j] + shift)
         radii = []
         for j in range(n):
@@ -413,12 +413,8 @@ def sample_ucc(rng: random.Random, m: int, n: int, den: int = 8,
     return ArcSystem(m, pairs, x.phi, "uCc")
 
 
-def sample_ue(rng: random.Random, m: int, n: int, den: int = 8,
-              with_coords: bool = False) -> ArcSystem:
-    x = sample_uec(rng, m, n, den, allow_zero_gaps=False, allow_zero_radii=False,
-                   spread=True)
-    if with_coords:
-        return ArcSystem(x.m, x.pairs, x.phi, "uEprime")
+def sample_ue(rng: random.Random, m: int, n: int, den: int = 8) -> ArcSystem:
+    x = sample_uec(rng, m, n, den, allow_zero_gaps=False, allow_zero_radii=False)
     return ArcSystem(x.m, x.pairs, None, "uE")
 
 

@@ -125,28 +125,6 @@ def identity_word(m: int, q: int) -> CyclicWord:
 # rewriting
 # ---------------------------------------------------------------------------
 
-def _tau_step(gens: list[Gen]) -> bool:
-    """One rewrite pushing a twist outward (later in application order)."""
-    for i in range(len(gens) - 1):
-        a, b = gens[i], gens[i + 1]
-        if a.kind != "t" or b.kind == "t":
-            continue
-        q = a.degree
-        if b.kind == "d":
-            if b.index == 0:
-                repl = [Gen("d", q, q)]
-            else:
-                repl = [Gen("d", b.index - 1, q), Gen("t", 0, q - 1)]
-        else:
-            if b.index == 0:
-                repl = [Gen("s", q, q), Gen("t", 0, q + 1), Gen("t", 0, q + 1)]
-            else:
-                repl = [Gen("s", b.index - 1, q), Gen("t", 0, q + 1)]
-        gens[i:i + 2] = repl
-        return True
-    return False
-
-
 def _simplicial_rule(a: Gen, b: Gen) -> list[Gen] | None:
     """The rewrite of the pair `a` then `b` toward the degeneracies-outside
     canonical factorization, or None when the pair is already canonical."""
@@ -169,16 +147,6 @@ def _simplicial_rule(a: Gen, b: Gen) -> list[Gen] | None:
         if y <= x:
             return [Gen("s", y, q), Gen("s", x + 1, q + 1)]
     return None
-
-
-def _simplicial_step(gens: list[Gen]) -> bool:
-    """One rewrite toward the degeneracies-outside canonical factorization."""
-    for i in range(len(gens) - 1):
-        repl = _simplicial_rule(gens[i], gens[i + 1])
-        if repl is not None:
-            gens[i:i + 2] = repl
-            return True
-    return False
 
 
 def _push_twists(w: CyclicWord) -> tuple[list[Gen], int]:
@@ -227,35 +195,6 @@ def normalize_word(w: CyclicWord) -> CyclicWord:
     if out.target != w.target:
         raise InvariantViolation(
             f"rewriting moved the target degree from {w.target} to {out.target}")
-    return out
-
-
-def rewrite_once_everywhere(w: CyclicWord) -> list[CyclicWord]:
-    """All words reachable by a single rewrite, for confluence testing."""
-    out: list[CyclicWord] = []
-    n = len(w.gens)
-    for i in range(n - 1):
-        candidates: list[list[Gen]] = []
-        probe = list(w.gens[i:i + 2])
-        if _tau_step(probe):
-            candidates.append(probe)
-        probe = list(w.gens[i:i + 2])
-        if _simplicial_step(probe):
-            candidates.append(probe)
-        for repl in candidates:
-            gens = w.gens[:i] + tuple(repl) + w.gens[i + 2:]
-            out.append(CyclicWord(w.m, w.source, gens))
-    # tau-power collapse anywhere a full period of twists is adjacent
-    for i, g in enumerate(w.gens):
-        if g.kind != "t":
-            continue
-        period = w.m * (g.degree + 1)
-        run = 0
-        while i + run < n and w.gens[i + run].kind == "t":
-            run += 1
-        if run >= period:
-            gens = w.gens[:i] + w.gens[i + period:]
-            out.append(CyclicWord(w.m, w.source, gens))
     return out
 
 
@@ -413,10 +352,9 @@ def tau_upsilon_intertwined(p: CyclicPoint) -> bool:
 # samplers
 # ---------------------------------------------------------------------------
 
-def sample_point(rng: random.Random, m: int, q: int, den: int = 8,
-                 allow_zero: bool = True) -> CyclicPoint:
-    rbar = _draw_rat(rng, den, Fraction(0), Fraction(m))
-    simplex = draw_composition(rng, Fraction(1), q + 1, den, allow_zero=allow_zero)
+def sample_point(rng: random.Random, m: int, q: int) -> CyclicPoint:
+    rbar = _draw_rat(rng, 8, Fraction(0), Fraction(m))
+    simplex = draw_composition(rng, Fraction(1), q + 1, 8)
     return CyclicPoint(m, Turn(rbar, Fraction(m)), simplex)
 
 

@@ -146,12 +146,12 @@ def monoid_to_json(R: FinCmMonoid) -> dict:
 
 
 def monoid_from_json(obj: dict) -> FinCmMonoid:
-    return FinCmMonoid(obj.get("name", "monoid"),
-                       tuple(_need(obj, "elements")),
-                       obj.get("base", "*"), _need(obj, "unit"),
-                       int(_need(obj, "m")),
-                       tuple(tuple(row) for row in _need(obj, "mul")),
-                       tuple(_need(obj, "sigma")))
+    return FinCmMonoid(name=obj.get("name", "monoid"),
+                       elements=tuple(_need(obj, "elements")),
+                       base=obj.get("base", "*"), unit=_need(obj, "unit"),
+                       m=int(_need(obj, "m")),
+                       mul_table=tuple(tuple(row) for row in _need(obj, "mul")),
+                       sigma_table=tuple(_need(obj, "sigma")))
 
 
 # -- operad elements --------------------------------------------------------

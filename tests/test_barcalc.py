@@ -25,7 +25,7 @@ from arcbar.circle import (circle_act, sample_ucc, sample_uec, system,
                            wreath_act)
 from arcbar.cyclic import circle_act_point, sample_point, twist_point
 from arcbar.groups import act_labels, upsilon, znwrcm_elements
-from arcbar.rational import InvariantViolation, Turn
+from arcbar.rational import InvariantViolation, MismatchError, Turn
 from arcbar.report import MAX_LISTED
 from arcbar.suites import RunConfig, run_suite
 
@@ -48,7 +48,9 @@ def _iterate(f, x, k):
 def test_sigma_pow_table_matches_iterated_sigma():
     letters = [pointed_set("s", ["a", "b", "c"], 6, {"a": "b", "b": "c", "c": "a"}),
                pointed_set("t", ["x", "y"], 4, {"x": "y", "y": "x"})]
-    for X in [R for m in range(1, 7) for R in standard_monoids(m)] + letters:
+    monoids = [R for m in range(1, 7) for R in standard_monoids(m)] + \
+        [_nilpotent_monoid(m) for m in (2, 4)]
+    for X in monoids + letters:
         for x in X.elements:
             for k in range(-2 * X.m, 2 * X.m + 1):
                 assert X.sigma_pow(x, k) == _iterate(X.sigma, x, k % X.m), (X.name, x, k)
@@ -62,18 +64,62 @@ def test_sigma_pow_table_matches_iterated_sigma():
         pointed_set("bad", ["a", "b", "c"], 2, {"a": "b", "b": "c", "c": "a"})
 
 
+def _outside_product_monoid():
+    """{*, e, a} with a*a = q, not an element; the unit law still holds."""
+    return FinCmMonoid(name="P", elements=("*", "e", "a"), base="*", unit="e",
+                       m=1, mul_table=(("*", "*", "*"), ("*", "e", "a"),
+                                       ("*", "a", "q")),
+                       sigma_table=("*", "e", "a"))
+
+
 @pytest.mark.parametrize("build", [
     lambda: pointed_set("X", ["x", "x"], 1),     # duplicate letter
     lambda: pointed_set("Y", ["*"], 2),          # a letter named like the base
     lambda: pointed_set("Z", ["x"], 2, {"x": "*", "*": "x"}),  # moves the base
     lambda: pointed_set("W", ["x", "y"], 1, {"x": "y"}),       # not a bijection
-    lambda: FinCmMonoid("M", ("*", "e", "e"), "*", "e", 1,
-                        (("*",) * 3,) * 3, ("*", "e", "e")),
-    lambda: FinCmMonoid("N", ("e",), "*", "e", 1, (("e",),), ("e",)),
+    lambda: FinCmMonoid(name="M", elements=("*", "e", "e"), base="*", unit="e",
+                        m=1, mul_table=(("*",) * 3,) * 3,
+                        sigma_table=("*", "e", "e")),
+    lambda: FinCmMonoid(name="N", elements=("e",), base="*", unit="e", m=1,
+                        mul_table=(("e",),), sigma_table=("e",)),
+    lambda: pointed_set("X", ["x"], 0),                    # cyclic order below 1
+    lambda: pointed_set("X", ["x"], -1),
+    lambda: pointed_cyclic_monoid("c2", 2, 0),
+    lambda: pointed_set("X", ["x"], 2, {"y": "x"}),        # sigma of an unknown letter
+    _outside_product_monoid,                               # a product outside
 ])
 def test_pointed_cm_validation_rejects(build):
     with pytest.raises(InvariantViolation):
         build()
+
+
+def test_pointed_cm_boundary_errors_name_the_invariant():
+    cases = [
+        (lambda: pointed_set("X", ["x"], 0), "m must be >= 1"),
+        (lambda: pointed_set("X", ["x"], 2, {"y": "x"}),
+         "sigma names unknown letter 'y'"),
+        (_outside_product_monoid, "product a*a = 'q' not among the elements"),
+    ]
+    for build, text in cases:
+        with pytest.raises(InvariantViolation) as err:
+            build()
+        assert str(err.value) == text
+
+
+def test_fin_cm_monoid_product_fields_are_keyword_only():
+    R = pointed_cyclic_monoid("c3-inv", 3, 2, sigma_mult=-1)
+    # the inherited fields come first, so the product fields are keyword-only
+    with pytest.raises(TypeError):
+        FinCmMonoid("M", R.elements, R.base, R.unit, R.m, R.mul_table,
+                    R.sigma_table)
+    same = FinCmMonoid(name=R.name, elements=R.elements, base=R.base, m=R.m,
+                       sigma_table=R.sigma_table, unit=R.unit,
+                       mul_table=R.mul_table)
+    assert same == R and hash(same) == hash(R)
+    X = pointed_set("X", ["x", "y"], 2, {"x": "y", "y": "x"})
+    assert repr(X) == ("PointedCmSet(name='X', elements=('*', 'x', 'y'), base='*', "
+                       "m=2, sigma_table=('*', 'y', 'x'))")
+    assert X == pointed_set("X", ["x", "y"], 2, {"x": "y", "y": "x"})
 
 
 def test_cyclic_face_examples():
@@ -135,7 +181,8 @@ def _nilpotent_monoid(m):
     es = ("*", "e", "a", "b")
     table = tuple(tuple(y if x == "e" else x if y == "e" else "*" for y in es)
                   for x in es)
-    return FinCmMonoid("nil", es, "*", "e", m, table, ("*", "e", "b", "a"))
+    return FinCmMonoid(name="nil", elements=es, base="*", unit="e", m=m,
+                       mul_table=table, sigma_table=("*", "e", "b", "a"))
 
 
 @st.composite
@@ -256,6 +303,8 @@ def test_twist_order_exact():
         for q in range(0, 4):
             probe = ("g1",) + ("g0",) * q
             assert twist_order(R, q, probe) == m * (q + 1)
+        with pytest.raises(MismatchError):
+            twist_order(R, 2, ("g1",))
 
 
 def test_free_monoid_monad_laws():

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcbar import cyclic
 from arcbar.circle import circle_act, sample_ucc, wreath_act
-from arcbar.cyclic import (CyclicWord, Gen, act_on_point, align_ucc,
-                           circle_act_point, identity_word, is_aligned,
-                           lambda_to_ucc, normalize_word, parse_word, point,
-                           rewrite_once_everywhere, sample_point, sample_word,
+from arcbar.cyclic import (CyclicWord, Gen, _simplicial_rule, act_on_point,
+                           align_ucc, circle_act_point, identity_word,
+                           is_aligned, lambda_to_ucc, normalize_word,
+                           parse_word, point, sample_point, sample_word,
                            tau_upsilon_intertwined, twist_point, ucc_to_lambda)
 from arcbar.rational import InvariantViolation, MismatchError, Turn
 
@@ -60,18 +59,82 @@ def test_normal_form_shape_and_idempotence():
         assert len(ts) < m * (nf.target + 1)
 
 
+# The confluence oracle: single rewrites, one pair at a time, from which
+# the full-rescan normal form and the one-step rewrite sets are built.
+
+def _tau_step(gens: list[Gen]) -> bool:
+    """One rewrite pushing a twist outward (later in application order)."""
+    for i in range(len(gens) - 1):
+        a, b = gens[i], gens[i + 1]
+        if a.kind != "t" or b.kind == "t":
+            continue
+        q = a.degree
+        if b.kind == "d":
+            if b.index == 0:
+                repl = [Gen("d", q, q)]
+            else:
+                repl = [Gen("d", b.index - 1, q), Gen("t", 0, q - 1)]
+        else:
+            if b.index == 0:
+                repl = [Gen("s", q, q), Gen("t", 0, q + 1), Gen("t", 0, q + 1)]
+            else:
+                repl = [Gen("s", b.index - 1, q), Gen("t", 0, q + 1)]
+        gens[i:i + 2] = repl
+        return True
+    return False
+
+
+def _simplicial_step(gens: list[Gen]) -> bool:
+    """One rewrite toward the degeneracies-outside canonical factorization."""
+    for i in range(len(gens) - 1):
+        repl = _simplicial_rule(gens[i], gens[i + 1])
+        if repl is not None:
+            gens[i:i + 2] = repl
+            return True
+    return False
+
+
+def rewrite_once_everywhere(w: CyclicWord) -> list[CyclicWord]:
+    """All words reachable by a single rewrite, for confluence testing."""
+    out: list[CyclicWord] = []
+    n = len(w.gens)
+    for i in range(n - 1):
+        candidates: list[list[Gen]] = []
+        probe = list(w.gens[i:i + 2])
+        if _tau_step(probe):
+            candidates.append(probe)
+        probe = list(w.gens[i:i + 2])
+        if _simplicial_step(probe):
+            candidates.append(probe)
+        for repl in candidates:
+            gens = w.gens[:i] + tuple(repl) + w.gens[i + 2:]
+            out.append(CyclicWord(w.m, w.source, gens))
+    # tau-power collapse anywhere a full period of twists is adjacent
+    for i, g in enumerate(w.gens):
+        if g.kind != "t":
+            continue
+        period = w.m * (g.degree + 1)
+        run = 0
+        while i + run < n and w.gens[i + run].kind == "t":
+            run += 1
+        if run >= period:
+            gens = w.gens[:i] + w.gens[i + period:]
+            out.append(CyclicWord(w.m, w.source, gens))
+    return out
+
+
 def _normalize_full_rescan(w):
     """The rewriting loop of normalize_word before it moved twists in one pass
     and resumed at the edit: one rewrite at a time, each found by scanning
     from index 0."""
     gens = list(w.gens)
-    while cyclic._tau_step(gens):
+    while _tau_step(gens):
         pass
     k = 0
     while gens and gens[-1].kind == "t":
         gens.pop()
         k += 1
-    while cyclic._simplicial_step(gens):
+    while _simplicial_step(gens):
         pass
     target = w.source
     for g in gens:

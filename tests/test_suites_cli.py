@@ -259,6 +259,17 @@ def test_cli_workbench_seed_env(monkeypatch, capsys):
 _SYSTEM = {"m": 1, "variant": "uEc", "pairs": [{"zeta": "0", "r": "1/8"}],
            "phi": ["1"]}
 _DISKS = {"instance": "dR", "pairs": [{"v": "0", "r": "1/2"}]}
+_MONOID = {"elements": ["*", "e"], "unit": "e", "m": 1,
+           "mul": [["*", "*"], ["*", "e"]], "sigma": ["*", "e"]}
+# monoid tables the validator rejects, each with the invariant its error names
+_BAD_MONOIDS = {
+    "monoid-m-0": ({**_MONOID, "m": 0}, "m must be >= 1"),
+    "monoid-m-neg": ({**_MONOID, "m": -1}, "m must be >= 1"),
+    "monoid-product-q": ({**_MONOID, "elements": ["*", "e", "a"],
+                          "mul": [["*", "*", "*"], ["*", "e", "a"], ["*", "a", "q"]],
+                          "sigma": ["*", "e", "a"]},
+                         "product a*a = 'q' not among the elements"),
+}
 
 
 @pytest.mark.parametrize("argv, env_seed", [
@@ -284,6 +295,8 @@ _DISKS = {"instance": "dR", "pairs": [{"v": "0", "r": "1/2"}]}
                   "--inner", json.dumps(_DISKS)], None, id="outer-pairs-int"),
     pytest.param(["suite", "embed-compose", "--trials", "1"], "seven",
                  id="env-seed-seven"),
+    *(pytest.param(["bar", "cyclic-verify", "--qmax", "2", "--monoid", json.dumps(obj)],
+                   None, id=name) for name, (obj, _) in _BAD_MONOIDS.items()),
 ])
 def test_cli_malformed_input_exits_2(monkeypatch, capsys, argv, env_seed):
     if env_seed is not None:
@@ -291,3 +304,11 @@ def test_cli_malformed_input_exits_2(monkeypatch, capsys, argv, env_seed):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_monoid_errors_name_the_invariant(capsys):
+    for obj, text in _BAD_MONOIDS.values():
+        argv = ["bar", "cyclic-verify", "--qmax", "2", "--monoid", json.dumps(obj)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and text in err, err
