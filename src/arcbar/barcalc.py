@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .circle import ArcSystem, compose_uec, sample_ucc
+from .circle import ArcSystem, compose_uec
 from .cyclic import CyclicPoint, align_ucc, lambda_to_ucc, ucc_to_lambda
 from .groups import act_labels
 from .rational import InvariantViolation, MismatchError, Turn
@@ -533,23 +533,6 @@ def labeled_orbit(coeffs: PointedCmSet, space: ArcSystem,
     space_c = ArcSystem(m, tuple((Turn(z), r) for z, r in zip(zs, rs)),
                         phi_c if space.phi is not None else None, space.variant)
     return LabeledOrbit(m, n, space_c, labels_c, "point")
-
-
-def compressed_cc(coeffs: PointedCmSet, n_max: int, per_degree: int = 20,
-                  seed: int = 0, den: int = 4) -> dict[int, list[LabeledOrbit]]:
-    """Sampled orbit representatives of the compressed functor by arity: the
-    single unit orbit at arity 0, canonical (space, labels) classes above."""
-    rng = random.Random(seed)
-    out: dict[int, list[LabeledOrbit]] = {
-        0: [LabeledOrbit(coeffs.m, 0, None, None, "unit")]}
-    for n in range(1, n_max + 1):
-        reps = set()
-        for _ in range(per_degree):
-            x = sample_ucc(rng, coeffs.m, n, den)
-            labels = tuple(rng.choice(coeffs.elements) for _ in range(n))
-            reps.add(labeled_orbit(coeffs, x, labels))
-        out[n] = sorted(reps, key=LabeledOrbit.sort_key)
-    return out
 
 
 def split_orbit_element(space: ArcSystem, words: Sequence[FreeWord]

@@ -14,7 +14,7 @@ Variants of :class:`ArcSystem`:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -157,36 +157,6 @@ def system(m: int, pairs: Sequence[tuple[Fraction, Fraction]],
 
 
 # ---------------------------------------------------------------------------
-# arc coordinates: uE <-> uE'
-# ---------------------------------------------------------------------------
-
-def arc_coords(x: ArcSystem) -> ArcSystem:
-    """Fill in the counterclockwise gap angles of an ordered configuration."""
-    if x.variant not in ("uE", "uEprime"):
-        raise MismatchError("arc coordinates are defined on ordered configurations")
-    if x.n == 0:
-        return replace(x, phi=(), variant="uEprime")
-    q = x.quantum
-    zs = [z.value for z, _ in x.pairs]
-    if x.n == 1:
-        gaps = [q]
-    else:
-        gaps = [mod_frac(zs[(j + 1) % x.n] - zs[j], q) for j in range(x.n)]
-    if any(g == 0 for g in gaps):
-        raise InvariantViolation("degenerate input: coincident centers")
-    if sum(gaps) != q:
-        raise InvariantViolation("centers are not in counterclockwise order")
-    return ArcSystem(x.m, x.pairs, tuple(gaps), "uEprime")
-
-
-def drop_coords(x: ArcSystem) -> ArcSystem:
-    """The projection that forgets the gap angles."""
-    if x.variant != "uEprime":
-        raise MismatchError("projection is defined on uEprime")
-    return ArcSystem(x.m, x.pairs, None, "uE")
-
-
-# ---------------------------------------------------------------------------
 # composition with the compactified interval operad
 # ---------------------------------------------------------------------------
 
@@ -296,12 +266,10 @@ def circle_act(theta: Turn | Fraction, x: ArcSystem) -> ArcSystem:
 # the retraction endomorphism
 # ---------------------------------------------------------------------------
 
-def retract_step(x: "ArcSystem | SystemWithPerm") -> "ArcSystem | SystemWithPerm":
+def retract_step(x: ArcSystem) -> ArcSystem:
     """Time-1 endomorphism of the all-degenerate stratum: each center advances
     by half its gap and each gap is averaged with its successor.  n iterations
     make every gap positive."""
-    if isinstance(x, SystemWithPerm):
-        return SystemWithPerm(retract_step(x.base), x.perm)
     if any(r != 0 for _, r in x.pairs):
         raise InvariantViolation("retraction is defined on zero-radius systems")
     if x.n == 0:
@@ -310,61 +278,6 @@ def retract_step(x: "ArcSystem | SystemWithPerm") -> "ArcSystem | SystemWithPerm
     pairs = tuple((z + p / 2, r) for (z, r), p in zip(x.pairs, gaps))
     phi = tuple((gaps[j] + gaps[(j + 1) % x.n]) / 2 for j in range(x.n))
     return ArcSystem(x.m, pairs, phi, x.variant)
-
-
-# ---------------------------------------------------------------------------
-# ordered-with-permutation presentation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SystemWithPerm:
-    """A u-variant system with a permutation: the point (base . perm) of the
-    symmetrized space, with the cyclic relabelling quotiented away by
-    normalization."""
-
-    base: ArcSystem
-    perm: Perm
-
-    def __post_init__(self) -> None:
-        if self.base.n != self.perm.degree:
-            raise MismatchError("permutation degree must match the arity")
-
-    def sort_key(self):
-        return (self.base.sort_key(), self.perm.images)
-
-    def normalized(self) -> "SystemWithPerm":
-        n = self.base.n
-        if n == 0:
-            return self
-        candidates = []
-        cyc = Perm.cycle(n)
-        for k in range(n):
-            alpha = cyc ** k
-            cand = SystemWithPerm(cyclic_rotate(self.base, alpha),
-                                  alpha.inverse().compose(self.perm))
-            candidates.append(cand)
-        return min(candidates, key=SystemWithPerm.sort_key)
-
-
-def to_pair(x: ArcSystem) -> SystemWithPerm:
-    """Split an unordered configuration into ordered base and permutation."""
-    if x.variant != "E":
-        raise MismatchError("pair presentation starts from an unordered system")
-    if x.n == 0:
-        return SystemWithPerm(ArcSystem(x.m, (), None, "uE"), Perm.identity(0))
-    q = x.quantum
-    cls = [z.reduced(q).value for z, _ in x.pairs]
-    if len(set(cls)) != x.n:
-        raise InvariantViolation("coincident centers admit no ordering")
-    order = sorted(range(x.n), key=lambda i: cls[i])
-    base = ArcSystem(x.m, tuple(x.pairs[i] for i in order), None, "uE")
-    sigma = Perm(tuple(order)).inverse()
-    return SystemWithPerm(base, sigma).normalized()
-
-
-def from_pair(p: SystemWithPerm) -> ArcSystem:
-    pairs = p.perm.act(p.base.pairs)
-    return ArcSystem(p.base.m, pairs, None, "E")
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +324,3 @@ def sample_ucc(rng: random.Random, m: int, n: int, den: int = 8,
     x = sample_uec(rng, m, n, den, allow_zero_gaps=allow_zero_gaps)
     pairs = tuple((z, Fraction(0)) for z, _ in x.pairs)
     return ArcSystem(m, pairs, x.phi, "uCc")
-
-
-def sample_ue(rng: random.Random, m: int, n: int, den: int = 8) -> ArcSystem:
-    x = sample_uec(rng, m, n, den, allow_zero_gaps=False, allow_zero_radii=False)
-    return ArcSystem(x.m, x.pairs, None, "uE")
-
-
-def sample_e(rng: random.Random, m: int, n: int, den: int = 8) -> ArcSystem:
-    x = sample_ue(rng, m, n, den)
-    sigma = Perm(tuple(rng.sample(range(n), n)))
-    return ArcSystem(x.m, sigma.act(x.pairs), None, "E")

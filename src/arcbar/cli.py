@@ -140,16 +140,17 @@ def _dispatch(args) -> int:
     if args.module == "operad":
         if args.command == "compose":
             inst = INSTANCES[args.instance]
-            outer = _parse("--outer", args.outer, jsonio.operad_elem_from_json)
-            inners = [_parse("--inner", s, jsonio.operad_elem_from_json)
-                      for s in args.inner]
+            elem = lambda obj: jsonio.operad_elem_from_json(obj, args.instance)
+            outer = _parse("--outer", args.outer, elem)
+            inners = [_parse("--inner", s, elem) for s in args.inner]
             _emit(jsonio.operad_elem_to_json(inst.compose(outer, inners)))
             return 0
+        cfg = _suite_config(args, "operad-laws")
         if args.instance != "all":
             inst = INSTANCES[args.instance]
-            return _finish(check_operad_laws(inst, args.seed, args.trials,
+            return _finish(check_operad_laws(inst, cfg.seed, cfg.trials,
                                              allow_nullary=inst.allow_nullary))
-        return _finish(suites.run_suite(_suite_config(args, "operad-laws")))
+        return _finish(suites.run_suite(cfg))
 
     if args.module == "embed":
         if args.command == "compose":
@@ -192,14 +193,14 @@ def _dispatch(args) -> int:
         return _finish(suites.run_suite(_suite_config(args, "lambda-iso")))
 
     if args.module == "bar":
-        if args.command == "cyclic-verify" and args.monoid:
+        if args.command == "thm-cycbar":
+            return _finish(suites.run_suite(_suite_config(args, "thm-cycbar")))
+        cfg = _suite_config(args, "cyclic-relations")
+        if args.monoid:
             R = _parse("--monoid", args.monoid, jsonio.monoid_from_json)
-            return _finish(barcalc.verify_cyclic_object(R, args.q_max, seed=args.seed,
-                                                        trials=args.trials))
-        if args.command == "cyclic-verify":
-            return _finish(suites.run_suite(_suite_config(args,
-                                                          "cyclic-relations")))
-        return _finish(suites.run_suite(_suite_config(args, "thm-cycbar")))
+            return _finish(barcalc.verify_cyclic_object(R, cfg.q_max, seed=cfg.seed,
+                                                        trials=cfg.trials))
+        return _finish(suites.run_suite(cfg))
 
     if args.module == "suite":
         return _finish(suites.run_suite(_suite_config(args, args.name)))

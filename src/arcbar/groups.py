@@ -154,24 +154,15 @@ class CyclicElem:
             raise MismatchError("cyclic group order mismatch")
         return CyclicElem(self.order, self.exponent + other.exponent)
 
-    def inverse(self) -> "CyclicElem":
-        return CyclicElem(self.order, -self.exponent)
-
-    def is_identity(self) -> bool:
-        return self.exponent == 0
-
 
 def _member_compatible(a, b) -> bool:
-    if isinstance(a, CyclicElem) and isinstance(b, CyclicElem):
-        return a.order == b.order
-    if isinstance(a, Perm) and isinstance(b, Perm):
-        return a.degree == b.degree
-    return False
+    return isinstance(a, CyclicElem) and isinstance(b, CyclicElem) and \
+        a.order == b.order
 
 
 @dataclass(frozen=True)
 class WreathElem:
-    """An element (perm; members) of Sigma_n wr H for a finite H."""
+    """An element (perm; members) of Sigma_n wr C_m, members in one C_m."""
 
     perm: Perm
     members: tuple
@@ -187,41 +178,6 @@ class WreathElem:
     @property
     def degree(self) -> int:
         return self.perm.degree
-
-    @staticmethod
-    def identity(n: int, member_identity) -> "WreathElem":
-        return WreathElem(Perm.identity(n), tuple(member_identity for _ in range(n)))
-
-    def compose(self, other: "WreathElem") -> "WreathElem":
-        if self.degree != other.degree:
-            raise MismatchError("wreath degree mismatch")
-        if self.degree and not _member_compatible(self.members[0], other.members[0]):
-            raise MismatchError("wreath base group mismatch")
-        perm = self.perm.compose(other.perm)
-        members = tuple(
-            self.members[other.perm(i)].compose(other.members[i])
-            for i in range(self.degree))
-        return WreathElem(perm, members)
-
-    def inverse(self) -> "WreathElem":
-        inv = self.perm.inverse()
-        members = tuple(self.members[inv(i)].inverse() for i in range(self.degree))
-        return WreathElem(inv, members)
-
-    def __pow__(self, k: int) -> "WreathElem":
-        if self.degree == 0:
-            return self
-        ident = self.members[0].compose(self.members[0].inverse())
-        out = WreathElem.identity(self.degree, ident)
-        base = self if k >= 0 else self.inverse()
-        for _ in range(abs(k)):
-            out = out.compose(base)
-        return out
-
-    def is_identity(self) -> bool:
-        if self.perm != Perm.identity(self.degree):
-            return False
-        return all(m.compose(m.inverse()) == m for m in self.members)
 
 
 def upsilon(m: int, n: int) -> WreathElem:

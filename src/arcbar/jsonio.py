@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Any, Callable, TypeVar
 
 from .barcalc import FinCmMonoid
-from .circle import ArcSystem, SystemWithPerm
+from .circle import ArcSystem
 from .cyclic import CyclicPoint, CyclicWord, parse_word
 from .groups import CyclicElem, Perm, WreathElem
 from .operads import (COMPACT, LITTLE_DISKS, AssocElem, CompactElem,
@@ -62,16 +62,14 @@ def perm_from_json(images: list[int]) -> Perm:
         raise SchemaError(f"bad permutation: {exc}") from exc
 
 
-def _member_to_json(x) -> Any:
-    if isinstance(x, CyclicElem):
-        return {"order": x.order, "exponent": x.exponent}
-    return perm_to_json(x)
+def _member_to_json(x: CyclicElem) -> dict:
+    return {"order": x.order, "exponent": x.exponent}
 
 
-def _member_from_json(obj) -> Any:
-    if isinstance(obj, dict):
-        return CyclicElem(int(_need(obj, "order")), int(_need(obj, "exponent")))
-    return perm_from_json(obj)
+def _member_from_json(obj) -> CyclicElem:
+    if not isinstance(obj, dict):
+        raise SchemaError("wreath members are {order, exponent} objects")
+    return CyclicElem(int(_need(obj, "order")), int(_need(obj, "exponent")))
 
 
 def wreath_to_json(w: WreathElem) -> dict:
@@ -103,15 +101,6 @@ def arc_system_from_json(obj: dict) -> ArcSystem:
     if phi is not None:
         phi = tuple(parse_rat(p) for p in phi)
     return ArcSystem(int(_need(obj, "m")), pairs, phi, _need(obj, "variant"))
-
-
-def system_with_perm_to_json(x: SystemWithPerm) -> dict:
-    return {"base": arc_system_to_json(x.base), "perm": perm_to_json(x.perm)}
-
-
-def system_with_perm_from_json(obj: dict) -> SystemWithPerm:
-    return SystemWithPerm(arc_system_from_json(_need(obj, "base")),
-                          perm_from_json(_need(obj, "perm")))
 
 
 # -- cyclic model -----------------------------------------------------------
@@ -174,8 +163,12 @@ def operad_elem_to_json(x) -> dict:
     raise SchemaError(f"unserializable operad element {type(x).__name__}")
 
 
-def operad_elem_from_json(obj: dict):
+def operad_elem_from_json(obj: dict, instance: str | None = None):
+    """Parse an operad element; with `instance` given, an element of any
+    other instance is rejected before it is built."""
     inst = _need(obj, "instance")
+    if instance is not None and inst != instance:
+        raise SchemaError(f"element of instance {inst!r}, not {instance!r}")
     if inst == "assoc":
         return AssocElem(perm_from_json(_need(obj, "perm")))
     if inst == "dR":
@@ -210,8 +203,6 @@ _KINDS = {
     "perm": lambda o: perm_to_json(perm_from_json(o)),
     "wreath": lambda o: wreath_to_json(wreath_from_json(o)),
     "arc-system": lambda o: arc_system_to_json(arc_system_from_json(o)),
-    "system-with-perm":
-        lambda o: system_with_perm_to_json(system_with_perm_from_json(o)),
     "cyclic-point": lambda o: point_to_json(point_from_json(o)),
     "cyclic-word": lambda o: word_to_json(word_from_json(o)),
     "monoid": lambda o: monoid_to_json(monoid_from_json(o)),
@@ -227,8 +218,6 @@ def _infer_kind(obj: Any) -> str:
     if isinstance(obj, dict):
         if "variant" in obj:
             return "arc-system"
-        if "base" in obj and "perm" in obj:
-            return "system-with-perm"
         if "members" in obj:
             return "wreath"
         if "rbar" in obj:

@@ -31,6 +31,8 @@ class SignedGroup:
     generator_sign: int
 
     def __post_init__(self) -> None:
+        if self.order < 1:
+            raise InvariantViolation("order must be >= 1")
         if self.generator_sign not in (1, -1):
             raise InvariantViolation("generator sign must be +1 or -1")
         if self.generator_sign == -1 and self.order % 2 != 0:
@@ -401,29 +403,6 @@ INSTANCES = {
     "semidirect-c2": SEMIDIRECT_C2,
     "dc": COMPACT,
 }
-
-
-def instance_for(elem) -> object:
-    if isinstance(elem, AssocElem):
-        return ASSOC
-    if isinstance(elem, DiskTuple):
-        return LITTLE_DISKS
-    if isinstance(elem, FramedTuple):
-        return FramedOperad(elem.group)
-    if isinstance(elem, SemidirectElem):
-        return SemidirectOperad(elem.group)
-    if isinstance(elem, CompactElem):
-        return COMPACT
-    raise MismatchError(f"not an operad element: {elem!r}")
-
-
-def operad_compose(outer, inners: Sequence) -> object:
-    """Compose within whichever concrete operad the elements belong to."""
-    inst = instance_for(outer)
-    for b in inners:
-        if type(b) is not type(outer):
-            raise MismatchError("inner element from a different operad variant")
-    return inst.compose(outer, list(inners))
 
 
 # ---------------------------------------------------------------------------

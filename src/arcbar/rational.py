@@ -116,37 +116,6 @@ def circular_distance(a: Rat, b: Rat, modulus: Rat) -> Rat:
     return min(d, modulus - d)
 
 
-@dataclass(frozen=True)
-class ArcInterval:
-    """An arc {center +/- halfWidth} on the circle of the center's modulus."""
-
-    center: Turn
-    half_width: Rat
-
-    def __post_init__(self) -> None:
-        hw = Fraction(self.half_width)
-        object.__setattr__(self, "half_width", hw)
-        if hw < 0:
-            raise InvariantViolation("halfWidth must be >= 0")
-        if hw > self.center.modulus / 2:
-            raise InvariantViolation("halfWidth exceeds half the circle")
-
-
-def arcs_overlap(a: ArcInterval, b: ArcInterval, open_ends: bool) -> bool:
-    """Whether two arcs intersect as subsets of the circle.
-
-    open_ends=True treats each arc as an open interval (empty when degenerate);
-    open_ends=False as a closed interval (a point when degenerate), so two
-    degenerate closed arcs overlap exactly when their centers coincide.
-    """
-    if a.center.modulus != b.center.modulus:
-        raise MismatchError("arcs live on circles of different modulus")
-    d = circular_distance(a.center.value, b.center.value, a.center.modulus)
-    if open_ends:
-        return a.half_width > 0 and b.half_width > 0 and d < a.half_width + b.half_width
-    return d <= a.half_width + b.half_width
-
-
 def images_overlap(c1: Turn, h1: Rat, c2: Turn, h2: Rat) -> bool:
     """Intersection test for embedding images on the quotient circle.
 
@@ -177,11 +146,6 @@ def _draw_rat(rng: random.Random, bound_den: int, lo: Rat, hi: Rat) -> Rat:
     q = rng.choice(qs)
     p = rng.randint(-(-ln * q // ld), hn * q // hd)
     return Fraction(p, q)
-
-
-def sample_rat(seed: int, bound_den: int, lo: RatLike, hi: RatLike) -> Rat:
-    """Deterministic pseudo-random rational in [lo, hi] with denominator <= bound."""
-    return _draw_rat(random.Random(seed), bound_den, rat(lo), rat(hi))
 
 
 def draw_composition(rng: random.Random, total: Rat, parts: int, den: int,

@@ -15,10 +15,10 @@ from arcbar import barcalc
 from arcbar.barcalc import (BASE_WORD, BarComplex, EMPTY_WORD, OVERFLOW_WORD,
                             FinCmMonoid, FreeMonoid, FreeWord, LabeledOrbit,
                             _canon_slots, _canon_twists, _lambda_canon,
-                            check_thm_cycbar_free, compressed_cc,
-                            cyclic_degeneracy, cyclic_face, cyclic_twist,
-                            labeled_orbit, lambda_class_to_orbit,
-                            map_c_to_l, pointed_cyclic_monoid, pointed_set,
+                            check_thm_cycbar_free, cyclic_degeneracy,
+                            cyclic_face, cyclic_twist, labeled_orbit,
+                            lambda_class_to_orbit, map_c_to_l,
+                            pointed_cyclic_monoid, pointed_set,
                             split_orbit_element, standard_monoids,
                             twist_order, verify_cyclic_object)
 from arcbar.circle import (circle_act, sample_ucc, sample_uec, system,
@@ -215,6 +215,56 @@ def test_nilpotent_monoid_collapses_and_passes():
     assert cyclic_face(R, 1, ("a", "e", "b")) == ("a", "b")
     assert cyclic_face(R, 2, ("a", "e", "b")) == ("*", "*")  # d_q: sigma(b) a
     assert verify_cyclic_object(R, 4).ok
+
+
+def _s3_monoid(m):
+    """{*} u S_3 with sigma conjugation by a transposition (m=2) or by a
+    3-cycle (m=3).  An element is named by its images, so "120" maps 0 to 1,
+    1 to 2 and 2 to 0, and the product xy applies y first.  Every coefficient
+    monoid in src/ is commutative; this one tells R from R^op."""
+    perms = list(itertools.permutations(range(3)))
+    g = (1, 0, 2) if m == 2 else (1, 2, 0)
+    g_inv = tuple(sorted(range(3), key=g.__getitem__))
+
+    def mul(x, y):
+        return tuple(x[y[i]] for i in range(3))
+
+    def name(p):
+        return "".join(map(str, p))
+
+    es = ("*",) + tuple(map(name, perms))
+    table = ((("*",) * len(es)),) + tuple(
+        ("*",) + tuple(name(mul(x, y)) for y in perms) for x in perms)
+    sigma = ("*",) + tuple(name(mul(mul(g, x), g_inv)) for x in perms)
+    return FinCmMonoid(name=f"s3-m{m}", elements=es, base="*", unit="012", m=m,
+                       mul_table=table, sigma_table=sigma)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_faces_keep_the_ordered_total_product(m):
+    # d_i with i < q keeps t_0 ... t_q, and d_q t has the product of
+    # tau t = (sigma t_q, t_0, ..., t_{q-1}); a face that collapses gives the
+    # basepoint on both sides.  Exhaustive at q <= 3.
+    R = _s3_monoid(m)
+    failures = []
+    for q in range(1, 4):
+        for t in itertools.product(R.elements, repeat=q + 1):
+            twisted = R.product((R.sigma(t[q]),) + t[:q])
+            for i in range(q + 1):
+                want = R.product(t) if i < q else twisted
+                if R.product(cyclic_face(R, i, t)) != want:
+                    failures.append((q, i, t))
+    assert not failures, (len(failures), failures[:3])
+
+
+def test_s3_faces_golden():
+    # sigma is conjugation by 102, and sigma(021) = 102.021.102 = 210
+    R = _s3_monoid(2)
+    assert R.sigma("021") == "210"
+    t = ("102", "120", "021")
+    assert cyclic_face(R, 0, t) == ("021", "021")  # 102.120 = 021, not 120.102 = 210
+    assert cyclic_face(R, 1, t) == ("102", "102")  # 120.021 = 102
+    assert cyclic_face(R, 2, t) == ("120", "120")  # 210.102 = 120, not 102.210 = 201
 
 
 def _mutated_reports():
@@ -450,15 +500,6 @@ def test_labeled_orbit_translate_example():
     u = next(g for g in znwrcm_elements(2, 2) if g.perm.images == (1, 0))
     x2, l2 = _diagonal_act(R)(u, (x, ("g1", "g0")))
     assert labeled_orbit(R, x, ["g1", "g0"]) == labeled_orbit(R, x2, l2)
-
-
-def test_compressed_cc_degrees():
-    R = pointed_cyclic_monoid("c2", 2, 2)
-    table = compressed_cc(R, 2, per_degree=25, seed=0)
-    assert [o.kind for o in table[0]] == ["unit"]
-    assert all(o.kind in ("point", "base") for o in table[1] + table[2])
-    assert all(o == labeled_orbit(R, o.space, o.labels)
-               for o in table[2] if o.kind == "point")
 
 
 def test_map_c_to_l_well_defined_and_invertible():

@@ -1,6 +1,5 @@
-"""Arc systems: validity, gap coordinates, the compactified composition with
-its worked example, group actions, the retraction, and the ordered-with-
-permutation presentation."""
+"""Arc systems: validity, the compactified composition with its worked
+example, group actions, and the retraction."""
 import hashlib
 import math
 import random
@@ -10,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcbar.circle import (VARIANTS, ArcSystem, SystemWithPerm, arc_coords,
-                           circle_act, compose_uec, cyclic_rotate, drop_coords,
-                           from_pair, retract_step, sample_e, sample_ucc,
-                           sample_ue, sample_uec, system, to_pair, wreath_act)
+from arcbar.circle import (VARIANTS, ArcSystem, circle_act, compose_uec,
+                           cyclic_rotate, retract_step, sample_ucc, sample_uec,
+                           system, wreath_act)
 from arcbar.groups import (CyclicElem, Perm, WreathElem, block_cycle_perm,
                            upsilon, znwrcm_elements)
 from arcbar.operads import sample_ucompact
 from arcbar.rational import InvariantViolation, MismatchError, Turn
+from test_groups import wreath_identity, wreath_mul
 
 
 def test_validation():
@@ -54,28 +53,6 @@ def test_validation_builds_the_quantum_once(monkeypatch):
     # every check runs: radii, images, consecutive gaps and the gap congruence
     system(2, [(0, F(1, 8)), (F(1, 4), F(1, 8))], [F(1, 4), F(1, 4)], "uEprime")
     assert reads == [2]
-
-
-def test_arc_coords_examples():
-    x = system(1, [(0, F(1, 8)), (F(1, 2), F(1, 8))], None, "uE")
-    assert arc_coords(x).phi == (F(1, 2), F(1, 2))
-    y = system(3, [(F(1, 5), F(1, 12))], None, "uE")
-    assert arc_coords(y).phi == (F(1, 3),)
-    with pytest.raises(MismatchError):
-        arc_coords(system(1, [(0, F(1, 8))], [F(1)], "uEc"))
-
-
-def test_arc_coords_roundtrip():
-    rng = random.Random(0)
-    for _ in range(300):
-        m, n = rng.randint(1, 3), rng.randint(1, 4)
-        x = sample_ue(rng, m, n)
-        filled = arc_coords(x)
-        assert drop_coords(filled) == x
-        assert arc_coords(filled) == filled
-    with pytest.raises(InvariantViolation):
-        arc_coords(ArcSystem(1, ((Turn(F(0)), F(1, 16)),
-                                 (Turn(F(0)), F(1, 16))), None, "uE"))
 
 
 def test_compose_worked_example():
@@ -183,7 +160,7 @@ def test_wreath_act_examples():
     for _ in range(100):
         m, n = rng.randint(1, 3), rng.randint(1, 3)
         y = sample_uec(rng, m, n)
-        ident = WreathElem.identity(n, CyclicElem.identity(m))
+        ident = wreath_identity(n, m)
         assert wreath_act(ident, y) == y
         u = upsilon(m, n)
         z = y
@@ -193,7 +170,7 @@ def test_wreath_act_examples():
         # left-action composition over the abelian base
         g = rng.choice(list(znwrcm_elements(n, m)))
         h = rng.choice(list(znwrcm_elements(n, m)))
-        assert wreath_act(g, wreath_act(h, y)) == wreath_act(g.compose(h), y)
+        assert wreath_act(g, wreath_act(h, y)) == wreath_act(wreath_mul(g, h), y)
     with pytest.raises(InvariantViolation):
         wreath_act(WreathElem(Perm((1, 0, 2)),
                               (CyclicElem(1, 0),) * 3),
@@ -251,44 +228,6 @@ def test_retract_reaches_positive_gaps():
         theta = Turn(F(rng.randint(0, 7), 8))
         assert retract_step(circle_act(theta, x)) == \
             circle_act(theta, retract_step(x))
-
-
-def test_pair_presentation_roundtrip():
-    rng = random.Random(6)
-    for _ in range(300):
-        m, n = rng.randint(1, 3), rng.randint(1, 4)
-        x = sample_e(rng, m, n)
-        p = to_pair(x)
-        assert from_pair(p) == x
-        assert p.normalized() == p
-        # the pair is invariant under re-extraction
-        assert to_pair(from_pair(p)) == p
-    with pytest.raises(InvariantViolation):
-        to_pair(ArcSystem(1, ((Turn(F(0)), F(1, 16)),
-                              (Turn(F(1, 16) * 32), F(1, 16))), None, "E"))
-
-
-def test_pair_presentation_quotient():
-    # rotated bases with adjusted permutations normalize identically
-    rng = random.Random(7)
-    for _ in range(100):
-        m, n = rng.randint(1, 3), rng.randint(2, 4)
-        x = sample_e(rng, m, n)
-        p = to_pair(x)
-        for k in range(n):
-            alpha = Perm.cycle(n) ** k
-            q = SystemWithPerm(cyclic_rotate(p.base, alpha),
-                               alpha.inverse().compose(p.perm))
-            assert q.normalized() == p
-
-
-def test_retract_with_perm_passthrough():
-    x = system(1, [(0, 0), (0, 0)], [1, 0], "uCc")
-    sp = SystemWithPerm(x, Perm((1, 0)))
-    out = retract_step(sp)
-    assert isinstance(out, SystemWithPerm)
-    assert out.perm == Perm((1, 0))
-    assert out.base.phi == (F(1, 2), F(1, 2))
 
 
 def test_sample_uec_positive_radii_loop_and_impossible_request():

@@ -13,6 +13,7 @@ from arcbar.cyclic import (CyclicWord, Gen, _simplicial_rule, act_on_point,
                            is_aligned, lambda_to_ucc, normalize_word,
                            parse_word, point, sample_point, sample_word,
                            tau_upsilon_intertwined, twist_point, ucc_to_lambda)
+from arcbar.groups import CyclicElem, WreathElem
 from arcbar.rational import InvariantViolation, MismatchError, Turn
 
 
@@ -322,5 +323,7 @@ def test_orbit_level_surjectivity():
         m, n = rng.randint(1, 3), rng.randint(1, 3)
         x = sample_ucc(rng, m, n)
         aligned, g = align_ucc(x)
-        back = wreath_act(g.inverse(), aligned)
+        # g has the identity permutation, so its inverse negates the members
+        g_inv = WreathElem(g.perm, tuple(CyclicElem(m, -c.exponent) for c in g.members))
+        back = wreath_act(g_inv, aligned)
         assert back == x

@@ -12,9 +12,9 @@ from arcbar.operads import (ASSOC, C2_SIGN, COMPACT, FRAMED_C2, LITTLE_DISKS,
                             FramedTuple, SemidirectElem, SemidirectOperad,
                             assoc_to_compact, check_operad_laws,
                             check_operad_map, little_to_compact,
-                            operad_compose, semidirect_iso,
-                            semidirect_iso_inverse, validate_compact)
-from arcbar.rational import InvariantViolation, MismatchError
+                            semidirect_iso, semidirect_iso_inverse,
+                            validate_compact)
+from arcbar.rational import InvariantViolation
 from arcbar.report import MAX_LISTED
 
 
@@ -39,18 +39,6 @@ def test_unit_laws_explicit():
     a = LITTLE_DISKS.sample(rng, 3)
     assert LITTLE_DISKS.compose(LITTLE_DISKS.unit(), [a]) == a
     assert LITTLE_DISKS.compose(a, [LITTLE_DISKS.unit()] * 3) == a
-
-
-def test_operad_compose_dispatch():
-    a = AssocElem(Perm((1, 0)))
-    b = AssocElem(Perm.identity(2))
-    c = AssocElem(Perm.identity(1))
-    out = operad_compose(a, [b, c])
-    assert isinstance(out, AssocElem) and out.arity == 3
-    with pytest.raises(MismatchError):
-        operad_compose(a, [b])
-    with pytest.raises(MismatchError):
-        operad_compose(a, [b, LITTLE_DISKS.unit()])
 
 
 def test_compact_invariants():

@@ -1,4 +1,4 @@
-"""Exact scalar, turn, and arc-interval tests."""
+"""Exact scalars, turns, image overlaps and seeded draws."""
 import math
 import random
 from fractions import Fraction as F
@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcbar.rational import (ArcInterval, InvariantViolation, MismatchError,
-                             Turn, _draw_rat, arcs_overlap, circular_distance,
-                             draw_composition, mod_frac, rat, rat_str,
-                             parse_rat, sample_rat)
+from arcbar.rational import (InvariantViolation, MismatchError, Turn,
+                             _draw_rat, circular_distance, draw_composition,
+                             images_overlap, mod_frac, rat, rat_str,
+                             parse_rat)
 
 rats = st.fractions(min_value=-50, max_value=50, max_denominator=16)
 
@@ -70,40 +70,29 @@ def test_turn_arithmetic():
         Turn(F(1, 2)).reduced(F(2, 5))
 
 
-def test_arc_interval_bounds():
-    ArcInterval(Turn(F(0)), F(1, 2))
-    with pytest.raises(InvariantViolation):
-        ArcInterval(Turn(F(0)), F(2, 3))
-    with pytest.raises(InvariantViolation):
-        ArcInterval(Turn(F(0)), F(-1, 8))
-
-
 def test_arcs_overlap_examples():
-    def arc(c, h, modulus=F(1)):
-        return ArcInterval(Turn(F(c), modulus), F(h))
-
-    assert not arcs_overlap(arc(0, F(1, 8)), arc(F(1, 2), F(1, 8)), open_ends=True)
-    a = arc(F(1, 3), 0)
-    assert arcs_overlap(a, a, open_ends=False)
-    assert not arcs_overlap(a, a, open_ends=True)
-    assert not arcs_overlap(arc(0, F(1, 4)), arc(F(1, 2), F(1, 4)), open_ends=True)
-    assert arcs_overlap(arc(0, F(1, 4)), arc(F(1, 2), F(1, 4)), open_ends=False)
+    # a positive radius contributes its open arc, a zero radius its center
+    assert not images_overlap(Turn(F(0)), F(1, 8), Turn(F(1, 2)), F(1, 8))
+    assert not images_overlap(Turn(F(0)), F(1, 4), Turn(F(1, 2)), F(1, 4))
+    assert images_overlap(Turn(F(0)), F(1, 4), Turn(F(3, 8)), F(1, 4))
+    point = Turn(F(1, 3))
+    assert images_overlap(point, 0, point, 0)
+    assert not images_overlap(point, 0, Turn(F(1, 2)), 0)
+    assert images_overlap(Turn(F(0)), F(1, 8), Turn(F(15, 16)), 0)
+    assert not images_overlap(Turn(F(0)), F(1, 8), Turn(F(1, 8)), 0)
     with pytest.raises(MismatchError):
-        arcs_overlap(arc(0, F(1, 8)), arc(0, F(1, 8), modulus=F(1, 2)), True)
+        images_overlap(Turn(F(0)), F(1, 8), Turn(F(0), F(1, 2)), F(1, 8))
 
 
 @settings(max_examples=200)
 @given(rats, rats,
        st.fractions(min_value=0, max_value=F(1, 2), max_denominator=16),
        st.fractions(min_value=0, max_value=F(1, 2), max_denominator=16),
-       rats, st.booleans())
-def test_arcs_overlap_symmetric_rotation_invariant(c1, c2, h1, h2, rho, open_ends):
-    a = ArcInterval(Turn(c1), h1)
-    b = ArcInterval(Turn(c2), h2)
-    assert arcs_overlap(a, b, open_ends) == arcs_overlap(b, a, open_ends)
-    ra = ArcInterval(Turn(c1 + rho), h1)
-    rb = ArcInterval(Turn(c2 + rho), h2)
-    assert arcs_overlap(a, b, open_ends) == arcs_overlap(ra, rb, open_ends)
+       rats)
+def test_arcs_overlap_symmetric_rotation_invariant(c1, c2, h1, h2, rho):
+    got = images_overlap(Turn(c1), h1, Turn(c2), h2)
+    assert images_overlap(Turn(c2), h2, Turn(c1), h1) == got
+    assert images_overlap(Turn(c1 + rho), h1, Turn(c2 + rho), h2) == got
 
 
 def test_circular_distance():
@@ -111,17 +100,20 @@ def test_circular_distance():
     assert mod_frac(F(-1, 3), F(1)) == F(2, 3)
 
 
-def test_sample_rat_contract():
-    x = sample_rat(0, 8, 0, 1)
+def test_draw_rat_contract():
+    def draw(seed, bound_den, lo, hi):
+        return _draw_rat(random.Random(seed), bound_den, F(lo), F(hi))
+
+    x = draw(0, 8, 0, 1)
     assert 0 <= x <= 1 and x.denominator <= 8
-    assert sample_rat(0, 8, 0, 1) == x
-    assert sample_rat(1, 1, 0, 1) in (0, 1)
-    values = {sample_rat(s, 8, 0, 1) for s in range(40)}
+    assert draw(0, 8, 0, 1) == x
+    assert draw(1, 1, 0, 1) in (0, 1)
+    values = {draw(s, 8, 0, 1) for s in range(40)}
     assert len(values) > 5
     with pytest.raises(InvariantViolation):
-        sample_rat(0, 8, F(1, 2), F(1, 2))
+        draw(0, 8, F(1, 2), F(1, 2))
     with pytest.raises(InvariantViolation):
-        sample_rat(0, 2, F(1, 3), F(5, 12))
+        draw(0, 2, F(1, 3), F(5, 12))
 
 
 @settings(max_examples=300)

@@ -1,5 +1,6 @@
 """Source-level rules for the package."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import arcbar
@@ -60,3 +61,31 @@ def test_pointed_cm_set_is_the_only_sigma_table():
               if {"_sig", "_powers"} & set(_assigned_names(node))}
     assert owners == {"barcalc.py:PointedCmSet"}, owners
     assert issubclass(FinCmMonoid, PointedCmSet)
+
+
+def _names_used(node):
+    """How often each name or attribute name is read under `node`."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_top_level_definition_is_reached_from_src():
+    # a top-level function or class that no code in src/ outside its own body
+    # refers to is dead or test-only; re-exports in __init__ do not count
+    root = Path(arcbar.__file__).parent
+    modules = [ast.parse(path.read_text(), str(path))
+               for path in sorted(root.rglob("*.py")) if path.name != "__init__.py"]
+    uses = sum(map(_names_used, modules), Counter())
+    acceptance = Path(__file__).with_name("test_acceptance.py")
+    allowed = {alias.name
+               for node in ast.walk(ast.parse(acceptance.read_text()))
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    allowed |= {
+        "lambda_class_to_orbit",  # ROADMAP item 8 gives it a caller
+        "split_orbit_element",    # ROADMAP item 9 builds on it
+    }
+    unreached = [top.name for tree in modules for top in tree.body
+                 if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                 and top.name not in allowed
+                 and uses[top.name] == _names_used(top)[top.name]]
+    assert not unreached, unreached

@@ -119,16 +119,6 @@ def test_wreath_and_point_roundtrip():
         jsonio.element_round_trip({"m": 2, "rbar": "0", "simplex": ["1/2"]})
 
 
-def test_system_with_perm_roundtrip():
-    obj = {"base": {"m": 1, "variant": "uE",
-                    "pairs": [{"zeta": "0", "r": "1/8"},
-                              {"zeta": "1/2", "r": "1/8"}]},
-           "perm": [2, 1]}
-    out = jsonio.element_round_trip(obj)
-    assert out["perm"] == [2, 1]
-    assert out["base"]["variant"] == "uE"
-
-
 def test_operad_elem_roundtrip():
     obj = {"instance": "dc", "perm": [2, 1],
            "pairs": [{"v": "0", "r": "0"}, {"v": "0", "r": "0"}]}
@@ -259,6 +249,8 @@ def test_cli_workbench_seed_env(monkeypatch, capsys):
 _SYSTEM = {"m": 1, "variant": "uEc", "pairs": [{"zeta": "0", "r": "1/8"}],
            "phi": ["1"]}
 _DISKS = {"instance": "dR", "pairs": [{"v": "0", "r": "1/2"}]}
+_ASSOC = {"instance": "assoc", "perm": [1]}
+_COMPACT = {"instance": "dc", "perm": [1], "pairs": [{"v": "0", "r": "1/2"}]}
 _MONOID = {"elements": ["*", "e"], "unit": "e", "m": 1,
            "mul": [["*", "*"], ["*", "e"]], "sigma": ["*", "e"]}
 # monoid tables the validator rejects, each with the invariant its error names
@@ -293,6 +285,26 @@ _BAD_MONOIDS = {
     pytest.param(["operad", "compose", "--instance", "dR",
                   "--outer", json.dumps({**_DISKS, "pairs": 3}),
                   "--inner", json.dumps(_DISKS)], None, id="outer-pairs-int"),
+    pytest.param(["operad", "compose", "--instance", "dR",
+                  "--outer", json.dumps(_ASSOC), "--inner", json.dumps(_ASSOC)],
+                 None, id="compose-assoc-under-dR"),
+    pytest.param(["operad", "compose", "--instance", "dR",
+                  "--outer", json.dumps(_DISKS), "--inner", json.dumps(_COMPACT)],
+                 None, id="compose-dc-inner-under-dR"),
+    pytest.param(["operad", "verify", "--instance", "dR", "--trials", "-5"],
+                 None, id="operad-verify-trials-neg"),
+    pytest.param(["bar", "cyclic-verify", "--monoid", json.dumps(_MONOID),
+                  "--qmax", "-3"], None, id="monoid-qmax-neg"),
+    pytest.param(["element", "roundtrip", "--json",
+                  json.dumps({"instance": "framed-c0", "pairs": []})],
+                 None, id="framed-order-0"),
+    pytest.param(["element", "roundtrip", "--json",
+                  json.dumps({"perm": [2, 1], "members": [[1], [1]]})],
+                 None, id="wreath-perm-members"),
+    pytest.param(["element", "roundtrip", "--json",
+                  json.dumps({"base": {**_SYSTEM, "variant": "uE", "phi": None},
+                              "perm": [1]})],
+                 None, id="system-with-perm"),
     pytest.param(["suite", "embed-compose", "--trials", "1"], "seven",
                  id="env-seed-seven"),
     *(pytest.param(["bar", "cyclic-verify", "--qmax", "2", "--monoid", json.dumps(obj)],
