@@ -495,10 +495,6 @@ class LabeledOrbit:
     labels: tuple[str, ...] | None
     kind: str = "point"  # "point" | "unit" | "base"
 
-    def sort_key(self):
-        space = self.space.sort_key() if self.space is not None else ()
-        return (self.kind, self.m, self.n, space, self.labels or ())
-
 
 def _canon_slots(zs: Sequence, rest: tuple, labels: Sequence[str], quantum,
                  sig_pow) -> tuple:
@@ -526,12 +522,10 @@ def labeled_orbit(coeffs: PointedCmSet, space: ArcSystem,
         return LabeledOrbit(m, n, None, None, "base")
     if n == 0:
         return LabeledOrbit(m, 0, None, None, "unit")
-    phi = space.phi if space.phi is not None else ()
     zs, rs, phi_c, labels_c = _canon_slots(
-        [z.value for z in space.centers()], (space.radii(), phi), labels,
+        [z.value for z in space.centers()], (space.radii(), space.phi), labels,
         space.quantum, coeffs.sigma_pow)
-    space_c = ArcSystem(m, tuple((Turn(z), r) for z, r in zip(zs, rs)),
-                        phi_c if space.phi is not None else None, space.variant)
+    space_c = ArcSystem(m, tuple((Turn(z), r) for z, r in zip(zs, rs)), phi_c)
     return LabeledOrbit(m, n, space_c, labels_c, "point")
 
 
@@ -566,10 +560,6 @@ class LambdaClass:
     point: CyclicPoint | None
     labels: tuple[str, ...] | None
     kind: str = "point"  # "point" | "unit" | "base"
-
-    def sort_key(self):
-        pt = self.point.sort_key() if self.point is not None else ()
-        return (self.kind, self.m, self.n, pt, self.labels or ())
 
 
 def _canon_twists(rbar, ts: tuple, labels: tuple[str, ...], one,
@@ -648,7 +638,7 @@ def _encode_space(x: ArcSystem, labels, den: int):
             raise InvariantViolation("system is not on the lattice")
         zs.append(int(v) % scale)
     ps = []
-    for p in x.gaps:
+    for p in x.phi:
         v = p * scale
         if v.denominator != 1:
             raise InvariantViolation("system is not on the lattice")
@@ -659,10 +649,9 @@ def _encode_space(x: ArcSystem, labels, den: int):
 def _decode_space(m: int, den: int, enc) -> tuple[ArcSystem, tuple[str, ...]]:
     zs, ps, labels = enc
     scale = m * den
-    pairs = tuple((Fraction(z, scale), Fraction(0)) for z in zs)
+    pairs = tuple((Turn(Fraction(z, scale)), Fraction(0)) for z in zs)
     phi = tuple(Fraction(p, scale) for p in ps)
-    from .circle import system
-    return system(m, pairs, phi, "uCc"), labels
+    return ArcSystem(m, pairs, phi), labels
 
 
 def _decode_lambda(m: int, den: int, enc) -> tuple[CyclicPoint, tuple[str, ...]]:

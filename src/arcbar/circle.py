@@ -2,14 +2,10 @@
 algebra: centers on the unit circle, radii in turns, and recorded gap angles
 summing to the circumference of the quotient.
 
-Variants of :class:`ArcSystem`:
-
-* ``E``   -- unordered disjoint arcs, positive radii, no gap data;
-* ``uE``  -- as ``E`` but counterclockwise-ordered starting at index 0;
-* ``uEprime`` -- ``uE`` with the gap angles filled in;
-* ``uEc`` -- the compactification: radii may vanish, coincident centers are
-  admitted along runs of zero gaps, gap angles are part of the data;
-* ``uCc`` -- the ``uEc`` points with all radii zero.
+An :class:`ArcSystem` is a point of the compactification ``uEc``: radii may
+vanish, coincident centers are admitted along runs of zero gaps, and the gap
+angles are part of the data.  Its ``variant`` is derived: ``uCc`` when there
+is an arc and every radius is zero, ``uEc`` otherwise.
 """
 from __future__ import annotations
 
@@ -20,28 +16,23 @@ from typing import Sequence
 
 from .groups import CyclicElem, Perm, WreathElem, slot_act
 from .rational import (InvariantViolation, MismatchError, Turn, _draw_rat,
-                       check_nonzero_composition, draw_composition,
-                       images_overlap, mod_frac, rat)
+                       draw_composition, images_overlap, rat)
 
 Pair = tuple[Turn, Fraction]
 UPairs = Sequence[tuple[Fraction, Fraction]]
 
-VARIANTS = ("E", "uE", "uEprime", "uEc", "uCc")
-
 
 @dataclass(frozen=True)
 class ArcSystem:
-    """n framed arcs on S^1/C_m with optional gap angles (all in turns)."""
+    """n framed arcs on S^1/C_m with one gap angle per arc (all in turns)."""
 
     m: int
     pairs: tuple[Pair, ...]
-    phi: tuple[Fraction, ...] | None
-    variant: str
+    phi: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pairs", tuple(self.pairs))
-        if self.phi is not None:
-            object.__setattr__(self, "phi", tuple(map(rat, self.phi)))
+        object.__setattr__(self, "phi", tuple(map(rat, self.phi)))
         self.validate()
 
     @property
@@ -60,78 +51,29 @@ class ArcSystem:
         return tuple(r for _, r in self.pairs)
 
     @property
-    def gaps(self) -> tuple[Fraction, ...]:
-        """The gap angles, which every variant except ``E`` and ``uE`` carries."""
-        if self.phi is None:
-            raise MismatchError(f"variant {self.variant} carries no gap angles")
-        return self.phi
-
-    def sort_key(self):
-        return (self.m, self.n, self.variant,
-                tuple(z.value for z, _ in self.pairs),
-                tuple(r for _, r in self.pairs),
-                self.phi if self.phi is not None else ())
+    def variant(self) -> str:
+        """``uCc`` when there is an arc and every radius is zero, else ``uEc``."""
+        return "uCc" if self.pairs and not any(r for _, r in self.pairs) else "uEc"
 
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> None:
         if self.m < 1:
             raise InvariantViolation("m must be >= 1")
-        if self.variant not in VARIANTS:
-            raise InvariantViolation(f"unknown variant {self.variant!r}")
         for z, _ in self.pairs:
             if z.modulus != 1:
                 raise InvariantViolation("centers must live on S^1 (modulus 1)")
-        if self.variant in ("E", "uE"):
-            if self.phi is not None:
-                raise InvariantViolation(f"variant {self.variant} carries no gaps")
-        else:
-            if self.phi is None:
-                raise InvariantViolation(f"variant {self.variant} requires gaps")
-            if len(self.phi) != self.n:
-                raise InvariantViolation("one gap per arc")
+        if len(self.phi) != self.n:
+            raise InvariantViolation("one gap per arc")
         if self.n == 0:
             return
         q = self.quantum
         half = q / 2
-        strict_r = self.variant in ("E", "uE", "uEprime")
         for _, r in self.pairs:
-            if r < 0 or r > half or (strict_r and r == 0):
-                bound = f"(0, {half}]" if strict_r else f"[0, {half}]"
-                raise InvariantViolation(f"radius {r} outside {bound}")
-        if self.variant == "uCc" and any(r != 0 for _, r in self.pairs):
-            raise InvariantViolation("uCc requires all radii zero")
+            if r < 0 or r > half:
+                raise InvariantViolation(f"radius {r} outside [0, {half}]")
         self._check_images(q)
-        if self.variant in ("uE", "uEprime"):
-            gaps = self._consecutive_gaps(q)
-            if any(g == 0 for g in gaps):
-                raise InvariantViolation("coincident centers in a strict variant")
-            if sum(gaps) != q:
-                raise InvariantViolation(
-                    "centers not in counterclockwise order starting at index 0")
-        if self.phi is not None:
-            self._check_gaps(self.phi, q)
-
-    def _check_images(self, q: Fraction) -> None:
-        # Coincident zero-radius images are admitted, so a pair of zero radii
-        # can never fail; a system with no positive radius needs no check.
-        rs = self.radii()
-        if not any(rs):
-            return
-        cls = [z.reduced(q) for z, _ in self.pairs]
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if (rs[i] or rs[j]) and images_overlap(cls[i], rs[i], cls[j], rs[j]):
-                    raise InvariantViolation(
-                        f"images of arcs {i} and {j} overlap with positive radius")
-
-    def _consecutive_gaps(self, q: Fraction) -> list[Fraction]:
-        if self.n == 1:
-            return [q]
-        zs = [z.value for z, _ in self.pairs]
-        return [mod_frac(zs[(j + 1) % self.n] - zs[j], q) for j in range(self.n)]
-
-    def _check_gaps(self, phi: tuple[Fraction, ...], q: Fraction) -> None:
+        phi = self.phi
         for p in phi:
             if p < 0 or p > q:
                 raise InvariantViolation(f"gap {p} outside [0, {q}]")
@@ -147,13 +89,36 @@ class ArcSystem:
                 raise InvariantViolation(
                     f"center {j + 1} is not center {j} rotated by its gap (mod 1/m)")
 
+    def _check_images(self, q: Fraction) -> None:
+        # Coincident zero-radius images are admitted, so a pair of zero radii
+        # can never fail; a system with no positive radius needs no check.
+        rs = self.radii()
+        if not any(rs):
+            return
+        cls = [z.reduced(q) for z, _ in self.pairs]
+        for i in range(self.n):
+            for j in range(i + 1, self.n):
+                if (rs[i] or rs[j]) and images_overlap(cls[i], rs[i], cls[j], rs[j]):
+                    raise InvariantViolation(
+                        f"images of arcs {i} and {j} overlap with positive radius")
+
+
+def check_variant(x: ArcSystem, label: str) -> None:
+    """Raise unless a stated variant label is the one x's radii give."""
+    if label != x.variant:
+        raise InvariantViolation(
+            f"variant {label!r} is not {x.variant!r}, the variant of these radii"
+            " (uCc: at least one arc and every radius zero; otherwise uEc)")
+
 
 def system(m: int, pairs: Sequence[tuple[Fraction, Fraction]],
-           phi: Sequence[Fraction] | None, variant: str) -> ArcSystem:
-    """Build an ArcSystem from bare rationals (centers taken mod 1)."""
+           phi: Sequence[Fraction], variant: str) -> ArcSystem:
+    """Build an ArcSystem from bare rationals (centers taken mod 1) and check
+    the stated variant against it."""
     tp = tuple((Turn(Fraction(z)), Fraction(r)) for z, r in pairs)
-    return ArcSystem(m, tp, tuple(Fraction(p) for p in phi) if phi is not None else None,
-                     variant)
+    x = ArcSystem(m, tp, tuple(Fraction(p) for p in phi))
+    check_variant(x, variant)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +135,6 @@ def compose_uec(outer: ArcSystem, inners: Sequence[UPairs]) -> ArcSystem:
     their gap contributions.
     """
     phi = outer.phi
-    if phi is None:
-        raise MismatchError("outer system must carry gap angles")
     if len(inners) != outer.n:
         raise MismatchError(
             f"arity mismatch: outer degree {outer.n}, {len(inners)} inner blocks")
@@ -179,9 +142,6 @@ def compose_uec(outer: ArcSystem, inners: Sequence[UPairs]) -> ArcSystem:
     m = outer.m
     sizes = [len(blk) for blk in inners]
     total = sum(sizes)
-    if total == 0:
-        return ArcSystem(m, (), (), "uEc")
-
     pairs: list[Pair] = []
     flat: list[tuple[int, int]] = []  # flat index -> (block, slot)
     for b, blk in enumerate(inners):
@@ -211,8 +171,7 @@ def compose_uec(outer: ArcSystem, inners: Sequence[UPairs]) -> ArcSystem:
             r2 = outer.pairs[b2][1]
             psi.append(acc - rb * inners[b][k][0] + r2 * inners[b2][0][0])
 
-    variant = "uCc" if all(r == 0 for _, r in pairs) else "uEc"
-    return ArcSystem(m, tuple(pairs), tuple(psi), variant)
+    return ArcSystem(m, tuple(pairs), tuple(psi))
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +184,7 @@ def cyclic_rotate(x: ArcSystem, alpha: Perm) -> ArcSystem:
         raise InvariantViolation("only cyclic rotations preserve the ordering")
     if alpha.degree != x.n:
         raise MismatchError("degree mismatch")
-    pairs = alpha.act(x.pairs)
-    phi = alpha.act(x.phi) if x.phi is not None else None
-    return ArcSystem(x.m, pairs, phi, x.variant)
+    return ArcSystem(x.m, alpha.act(x.pairs), alpha.act(x.phi))
 
 
 def wreath_act(g: WreathElem, x: ArcSystem) -> ArcSystem:
@@ -250,16 +207,15 @@ def wreath_act(g: WreathElem, x: ArcSystem) -> ArcSystem:
         z, r = pair
         return (z + Fraction(c.exponent, x.m), r)
 
-    pairs = slot_act(g, x.pairs, rotate)
-    phi = slot_act(g, x.phi, lambda p, _c: p) if x.phi is not None else None
-    return ArcSystem(x.m, pairs, phi, x.variant)
+    return ArcSystem(x.m, slot_act(g, x.pairs, rotate),
+                     slot_act(g, x.phi, lambda p, _c: p))
 
 
 def circle_act(theta: Turn | Fraction, x: ArcSystem) -> ArcSystem:
     """Rotate every center by theta (diagonal circle action); gaps unchanged."""
     t = theta.value if isinstance(theta, Turn) else Fraction(theta)
     pairs = tuple((z + t, r) for z, r in x.pairs)
-    return ArcSystem(x.m, pairs, x.phi, x.variant)
+    return ArcSystem(x.m, pairs, x.phi)
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +228,10 @@ def retract_step(x: ArcSystem) -> ArcSystem:
     make every gap positive."""
     if any(r != 0 for _, r in x.pairs):
         raise InvariantViolation("retraction is defined on zero-radius systems")
-    if x.n == 0:
-        return x
-    gaps = x.gaps
+    gaps = x.phi
     pairs = tuple((z + p / 2, r) for (z, r), p in zip(x.pairs, gaps))
     phi = tuple((gaps[j] + gaps[(j + 1) % x.n]) / 2 for j in range(x.n))
-    return ArcSystem(x.m, pairs, phi, x.variant)
+    return ArcSystem(x.m, pairs, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -285,42 +239,29 @@ def retract_step(x: ArcSystem) -> ArcSystem:
 # ---------------------------------------------------------------------------
 
 def sample_uec(rng: random.Random, m: int, n: int, den: int = 8,
-               allow_zero_gaps: bool = True,
-               allow_zero_radii: bool = True) -> ArcSystem:
-    """Seeded random point of the compactified ordered configuration space.
-
-    With allow_zero_radii=False the whole point is drawn again until every
-    radius is positive; raises InvariantViolation when that cannot happen.
-    """
+               allow_zero_gaps: bool = True) -> ArcSystem:
+    """Seeded random point of the compactified ordered configuration space."""
     if n == 0:
-        return ArcSystem(m, (), (), "uEc")
+        return ArcSystem(m, (), ())
     q = Fraction(1, m)
-    if not allow_zero_radii and n > 1:
-        # a positive radius needs both neighbouring gaps positive
-        check_nonzero_composition(q, n, den)
-    while True:
-        phi = draw_composition(rng, q, n, den, allow_zero=allow_zero_gaps)
-        z0 = _draw_rat(rng, den, Fraction(0), Fraction(1))
-        zs = [Turn(z0)]
-        for j in range(n - 1):
-            shift = Fraction(rng.randrange(m), m) if m > 1 else Fraction(0)
-            zs.append(zs[-1] + phi[j] + shift)
-        radii = []
-        for j in range(n):
-            cap = min(phi[j - 1], phi[j]) / 2 if n > 1 else q / 2
-            if cap == 0 or (allow_zero_radii and rng.randrange(5) < 2):
-                radii.append(Fraction(0))
-            else:
-                radii.append(_draw_rat(rng, den, Fraction(0), Fraction(1)) * cap)
-        if allow_zero_radii or all(radii):
-            break
-    pairs = tuple((z, r) for z, r in zip(zs, radii))
-    variant = "uCc" if all(r == 0 for r in radii) else "uEc"
-    return ArcSystem(m, pairs, phi, variant)
+    phi = draw_composition(rng, q, n, den, allow_zero=allow_zero_gaps)
+    z0 = _draw_rat(rng, den, Fraction(0), Fraction(1))
+    zs = [Turn(z0)]
+    for j in range(n - 1):
+        shift = Fraction(rng.randrange(m), m) if m > 1 else Fraction(0)
+        zs.append(zs[-1] + phi[j] + shift)
+    radii = []
+    for j in range(n):
+        cap = min(phi[j - 1], phi[j]) / 2 if n > 1 else q / 2
+        if cap == 0 or rng.randrange(5) < 2:
+            radii.append(Fraction(0))
+        else:
+            radii.append(_draw_rat(rng, den, Fraction(0), Fraction(1)) * cap)
+    return ArcSystem(m, tuple(zip(zs, radii)), phi)
 
 
 def sample_ucc(rng: random.Random, m: int, n: int, den: int = 8,
                allow_zero_gaps: bool = True) -> ArcSystem:
     x = sample_uec(rng, m, n, den, allow_zero_gaps=allow_zero_gaps)
     pairs = tuple((z, Fraction(0)) for z, _ in x.pairs)
-    return ArcSystem(m, pairs, x.phi, "uCc")
+    return ArcSystem(m, pairs, x.phi)

@@ -36,9 +36,10 @@ def _parse(option: str, text: str, from_json=lambda obj: obj):
     return jsonio.parse_input(lambda t: from_json(_load_json(t)), text, option)
 
 
-def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+def _emit(obj, fh=None) -> None:
+    fh = fh or sys.stdout
+    json.dump(obj, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -54,11 +55,20 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _suite_config(args, suite: str) -> suites.RunConfig:
     return suites.RunConfig(suite=suite, seed=args.seed, trials=args.trials,
                             n_max=args.n_max, q_max=args.q_max,
-                            m_max=args.m_max, den=args.den, out=args.out)
+                            m_max=args.m_max, den=args.den)
 
 
-def _finish(rep: Report) -> int:
-    _emit(rep.to_json())
+def _finish(rep: Report, out: str | None) -> int:
+    """Write the report to `out` when given, print it, and map it to the exit
+    status: 0 when every law holds, 1 otherwise."""
+    doc = rep.to_json()
+    if out:
+        try:
+            with open(out, "w") as fh:
+                _emit(doc, fh)
+        except OSError as exc:
+            raise jsonio.SchemaError(f"cannot write {out!r}: {exc.strerror}") from exc
+    _emit(doc)
     return 0 if rep.ok else 1
 
 
@@ -130,13 +140,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        return _dispatch(_build_parser().parse_args(argv))
+        args = _build_parser().parse_args(argv)
+        result = _dispatch(args)
+        return result if isinstance(result, int) else _finish(result, args.out)
     except (InvariantViolation, MismatchError, jsonio.SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def _dispatch(args) -> int:
+def _dispatch(args) -> int | Report:
+    """Run one command: a verdict command returns its report, any other
+    command prints its result and returns the exit status."""
     if args.module == "operad":
         if args.command == "compose":
             inst = INSTANCES[args.instance]
@@ -148,9 +162,9 @@ def _dispatch(args) -> int:
         cfg = _suite_config(args, "operad-laws")
         if args.instance != "all":
             inst = INSTANCES[args.instance]
-            return _finish(check_operad_laws(inst, cfg.seed, cfg.trials,
-                                             allow_nullary=inst.allow_nullary))
-        return _finish(suites.run_suite(cfg))
+            return check_operad_laws(inst, cfg.seed, cfg.trials,
+                                     allow_nullary=inst.allow_nullary)
+        return suites.run_suite(cfg)
 
     if args.module == "embed":
         if args.command == "compose":
@@ -176,7 +190,7 @@ def _dispatch(args) -> int:
                 x = circle.retract_step(x)
             _emit(jsonio.arc_system_to_json(x))
             return 0
-        return _finish(suites.run_suite(_suite_config(args, "embed-compose")))
+        return suites.run_suite(_suite_config(args, "embed-compose"))
 
     if args.module == "cyclic":
         if args.command == "normalize":
@@ -190,20 +204,20 @@ def _dispatch(args) -> int:
             out = cyclic.act_on_point(args.word, p)
             _emit(jsonio.point_to_json(out))
             return 0
-        return _finish(suites.run_suite(_suite_config(args, "lambda-iso")))
+        return suites.run_suite(_suite_config(args, "lambda-iso"))
 
     if args.module == "bar":
         if args.command == "thm-cycbar":
-            return _finish(suites.run_suite(_suite_config(args, "thm-cycbar")))
+            return suites.run_suite(_suite_config(args, "thm-cycbar"))
         cfg = _suite_config(args, "cyclic-relations")
         if args.monoid:
             R = _parse("--monoid", args.monoid, jsonio.monoid_from_json)
-            return _finish(barcalc.verify_cyclic_object(R, cfg.q_max, seed=cfg.seed,
-                                                        trials=cfg.trials))
-        return _finish(suites.run_suite(cfg))
+            return barcalc.verify_cyclic_object(R, cfg.q_max, seed=cfg.seed,
+                                                trials=cfg.trials)
+        return suites.run_suite(cfg)
 
     if args.module == "suite":
-        return _finish(suites.run_suite(_suite_config(args, args.name)))
+        return suites.run_suite(_suite_config(args, args.name))
 
     if args.module == "element":
         payload = _parse("--json", args.payload)

@@ -226,9 +226,6 @@ class CyclicPoint:
     def q(self) -> int:
         return len(self.simplex) - 1
 
-    def sort_key(self):
-        return (self.m, self.q, self.rbar.value, self.simplex)
-
 
 def point(m: int, rbar, simplex) -> CyclicPoint:
     return CyclicPoint(m, Turn(Fraction(rbar), Fraction(m)),
@@ -298,13 +295,13 @@ def lambda_to_ucc(p: CyclicPoint) -> ArcSystem:
         acc += t
     phi = tuple(t / m for t in p.simplex)
     pairs = tuple((z, ZERO) for z in zs)
-    return ArcSystem(m, pairs, phi, "uCc")
+    return ArcSystem(m, pairs, phi)
 
 
 def is_aligned(x: ArcSystem) -> bool:
     """Whether consecutive centers differ by exactly the recorded gap on S^1
     (not merely on the quotient circle)."""
-    phi = x.gaps
+    phi = x.phi
     for j in range(x.n - 1):
         if (x.pairs[j][0] + phi[j]) != x.pairs[j + 1][0]:
             return False
@@ -315,7 +312,7 @@ def align_ucc(x: ArcSystem) -> tuple[ArcSystem, WreathElem]:
     """The C_m^n correction g with x * g aligned (identity permutation part)."""
     if x.variant != "uCc":
         raise MismatchError("alignment is for zero-radius systems")
-    phi = x.gaps
+    phi = x.phi
     exps = [0]
     target = x.pairs[0][0].value
     for j in range(1, x.n):
@@ -331,12 +328,12 @@ def align_ucc(x: ArcSystem) -> tuple[ArcSystem, WreathElem]:
 
 def ucc_to_lambda(x: ArcSystem) -> CyclicPoint:
     """Inverse comparison map, defined on aligned zero-radius systems."""
-    if x.variant != "uCc" or x.n == 0:
+    if x.variant != "uCc":
         raise MismatchError("inverse comparison needs a nonempty uCc system")
     if not is_aligned(x):
         raise InvariantViolation("system is not aligned; apply align_ucc first")
     rbar = Turn(x.pairs[0][0].value * x.m, Fraction(x.m))
-    simplex = tuple(p * x.m for p in x.gaps)
+    simplex = tuple(p * x.m for p in x.phi)
     return CyclicPoint(x.m, rbar, simplex)
 
 

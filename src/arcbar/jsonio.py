@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Any, Callable, TypeVar
 
 from .barcalc import FinCmMonoid
-from .circle import ArcSystem
+from .circle import ArcSystem, check_variant
 from .cyclic import CyclicPoint, CyclicWord, parse_word
 from .groups import CyclicElem, Perm, WreathElem
 from .operads import (COMPACT, LITTLE_DISKS, AssocElem, CompactElem,
@@ -85,22 +85,26 @@ def wreath_from_json(obj: dict) -> WreathElem:
 # -- arc systems ------------------------------------------------------------
 
 def arc_system_to_json(x: ArcSystem) -> dict:
-    out = {"m": x.m,
-           "pairs": [{"zeta": rat_str(z.value), "r": rat_str(r)}
-                     for z, r in x.pairs],
-           "variant": x.variant}
-    if x.phi is not None:
-        out["phi"] = [rat_str(p) for p in x.phi]
-    return out
+    return {"m": x.m,
+            "pairs": [{"zeta": rat_str(z.value), "r": rat_str(r)}
+                      for z, r in x.pairs],
+            "phi": [rat_str(p) for p in x.phi],
+            "variant": x.variant}
 
 
 def arc_system_from_json(obj: dict) -> ArcSystem:
+    """Parse an arc system; its `variant` label must be the one the radii give."""
     pairs = tuple((Turn(parse_rat(_need(p, "zeta"))), parse_rat(_need(p, "r")))
                   for p in _need(obj, "pairs"))
-    phi = obj.get("phi")
-    if phi is not None:
-        phi = tuple(parse_rat(p) for p in phi)
-    return ArcSystem(int(_need(obj, "m")), pairs, phi, _need(obj, "variant"))
+    try:
+        gaps = iter(_need(obj, "phi"))
+    except TypeError:
+        raise SchemaError("field 'phi' must be a list of gaps, one per arc") from None
+    phi = tuple(parse_rat(p) for p in gaps)
+    m, label = int(_need(obj, "m")), _need(obj, "variant")
+    x = ArcSystem(m, pairs, phi)
+    check_variant(x, label)
+    return x
 
 
 # -- cyclic model -----------------------------------------------------------

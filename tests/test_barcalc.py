@@ -471,10 +471,15 @@ def _orbit_min(elements, act, point, key):
     return min((act(g, point) for g in elements), key=key)
 
 
+def _space_key(x):
+    """Arc systems in one orbit share m and n: order them by the rest."""
+    return tuple(z.value for z in x.centers()), x.radii(), x.phi
+
+
 def _brute_orbit(coeffs, x, labels):
     """Least (space, labels) over the whole wreath group, by enumeration."""
     return _orbit_min(znwrcm_elements(x.n, x.m), _diagonal_act(coeffs),
-                      (x, tuple(labels)), key=lambda pt: (pt[0].sort_key(), pt[1]))
+                      (x, tuple(labels)), key=lambda pt: (_space_key(pt[0]), pt[1]))
 
 
 def test_labeled_orbit_basics():
@@ -635,7 +640,8 @@ def test_lambda_canon_equals_brute_force():
                 labels = tuple(rng.choice(X.nonbase()) for _ in range(n))
                 cls = _lambda_canon(X, p, labels)
                 want = _orbit_min(range(m * n), act, (p, labels),
-                                  key=lambda pt: (pt[0].sort_key(), pt[1]))
+                                  key=lambda pt: (pt[0].rbar.value, pt[0].simplex,
+                                                  pt[1]))
                 assert (cls.point, cls.labels) == want, (m, n)
 
 

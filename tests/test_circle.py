@@ -1,6 +1,5 @@
 """Arc systems: validity, the compactified composition with its worked
 example, group actions, and the retraction."""
-import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -9,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcbar.circle import (VARIANTS, ArcSystem, circle_act, compose_uec,
-                           cyclic_rotate, retract_step, sample_ucc, sample_uec,
-                           system, wreath_act)
+from arcbar.circle import (ArcSystem, circle_act, compose_uec, cyclic_rotate,
+                           retract_step, sample_ucc, sample_uec, system,
+                           wreath_act)
 from arcbar.groups import (CyclicElem, Perm, WreathElem, block_cycle_perm,
                            upsilon, znwrcm_elements)
+from arcbar.jsonio import arc_system_from_json, arc_system_to_json
 from arcbar.operads import sample_ucompact
-from arcbar.rational import InvariantViolation, MismatchError, Turn
+from arcbar.rational import InvariantViolation, MismatchError, Turn, rat_str
 from test_groups import wreath_identity, wreath_mul
 
 
@@ -31,10 +31,13 @@ def test_validation():
         system(2, [(0, F(1, 3))], [F(1, 2)], "uEc")
     with pytest.raises(InvariantViolation):  # uCc needs zero radii
         system(1, [(0, F(1, 8))], [F(1)], "uCc")
-    with pytest.raises(InvariantViolation):  # strict variants need positive radii
-        system(1, [(0, 0), (F(1, 2), 0)], None, "uE")
+    with pytest.raises(InvariantViolation):  # ... and zero radii make uCc
+        system(1, [(0, 0), (F(1, 2), 0)], [F(1, 2), F(1, 2)], "uEc")
+    with pytest.raises(InvariantViolation):  # ... and at least one arc
+        system(1, [], [], "uCc")
+    assert system(1, [], [], "uEc").variant == "uEc"
     # coincident degenerate points along a zero gap are admitted
-    system(1, [(0, 0), (0, 0), (F(1, 2), 0)], [0, F(1, 2), F(1, 2)], "uEc")
+    system(1, [(0, 0), (0, 0), (F(1, 2), 0)], [0, F(1, 2), F(1, 2)], "uCc")
     # a degenerate point at the boundary of an arc is admitted
     system(1, [(0, F(1, 8)), (F(1, 8), 0)], [F(1, 8), F(7, 8)], "uEc")
     with pytest.raises(InvariantViolation):  # strictly inside is not
@@ -50,8 +53,8 @@ def test_validation_builds_the_quantum_once(monkeypatch):
         return real.fget(self)
 
     monkeypatch.setattr(ArcSystem, "quantum", property(counted))
-    # every check runs: radii, images, consecutive gaps and the gap congruence
-    system(2, [(0, F(1, 8)), (F(1, 4), F(1, 8))], [F(1, 4), F(1, 4)], "uEprime")
+    # every check runs: radii, images, the gap bounds and the gap congruence
+    system(2, [(0, F(1, 8)), (F(1, 4), F(1, 8))], [F(1, 4), F(1, 4)], "uEc")
     assert reads == [2]
 
 
@@ -230,22 +233,6 @@ def test_retract_reaches_positive_gaps():
             circle_act(theta, retract_step(x))
 
 
-def test_sample_uec_positive_radii_loop_and_impossible_request():
-    # 54 systems from about 600 compositions, digest recorded when the
-    # rejection was a recursive call: the loop makes the same draws
-    rng = random.Random(11)
-    xs = [sample_uec(rng, m, n, 4, allow_zero_radii=False)
-          for m in (1, 2, 3) for n in (1, 2, 3) for _ in range(6)]
-    assert hashlib.sha256(repr([x.sort_key() for x in xs]).encode()).hexdigest() \
-        == "94694dc7bac0faaa57f9ade2e0798cec4c41e8d872df528972208951364bdcc7"
-    x = sample_uec(random.Random(3), 2, 6, 4, allow_zero_radii=False)
-    assert x.n == 6 and all(r > 0 for r in x.radii())
-    with pytest.raises(InvariantViolation):
-        sample_uec(random.Random(3), 1, 7, 4, allow_zero_radii=False)
-    # one arc needs no positive gap: its cap is half the quotient circle
-    assert sample_uec(random.Random(3), 1, 1, 1, allow_zero_radii=False).radii()[0] > 0
-
-
 # ---------------------------------------------------------------------------
 # validation against a brute-force oracle on lattice systems
 # ---------------------------------------------------------------------------
@@ -255,23 +242,20 @@ def _ref_mod(x, modulus):
 
 
 def _oracle_accepts(m, pairs, phi, variant):
-    """ArcSystem validation written out with an image test on every pair and
-    the gap congruence through a floor-based reduction."""
+    """ArcSystem validation and the variant label written out with an image
+    test on every pair and the gap congruence through a floor-based
+    reduction."""
     n = len(pairs)
     zs = [_ref_mod(z, 1) for z, _ in pairs]
     rs = [r for _, r in pairs]
-    if variant in ("E", "uE"):
-        if phi is not None:
-            return False
-    elif phi is None or len(phi) != n:
+    if len(phi) != n:
+        return False
+    if variant != ("uCc" if n and all(r == 0 for r in rs) else "uEc"):
         return False
     if n == 0:
         return True
     q = F(1, m)
-    strict = variant in ("E", "uE", "uEprime")
-    if any(r < 0 or r > q / 2 or (strict and r == 0) for r in rs):
-        return False
-    if variant == "uCc" and any(r != 0 for r in rs):
+    if any(r < 0 or r > q / 2 for r in rs):
         return False
     cls = [_ref_mod(z, q) for z in zs]
     for i in range(n):
@@ -282,17 +266,11 @@ def _oracle_accepts(m, pairs, phi, variant):
             overlap = d == 0 if both_zero else d < rs[i] + rs[j]
             if overlap and not both_zero:
                 return False
-    if variant in ("uE", "uEprime"):
-        gaps = [q] if n == 1 else [_ref_mod(zs[(j + 1) % n] - zs[j], q)
-                                   for j in range(n)]
-        if any(g == 0 for g in gaps) or sum(gaps) != q:
+    if any(p < 0 or p > q for p in phi) or sum(phi) != q:
+        return False
+    for j in range(n):
+        if _ref_mod(zs[(j + 1) % n] - (zs[j] + phi[j]), q) != 0:
             return False
-    if phi is not None:
-        if any(p < 0 or p > q for p in phi) or sum(phi) != q:
-            return False
-        for j in range(n):
-            if _ref_mod(zs[(j + 1) % n] - (zs[j] + phi[j]), q) != 0:
-                return False
     return True
 
 
@@ -302,10 +280,10 @@ def lattice_systems(draw, cells=8):
     turns: consistent gaps and C_m-shifted centers, radii that are zero, fit
     between the neighbours or are arbitrary (so they may overlap), then
     optionally a moved center, a moved gap, two swapped centers, an
-    oversized radius or gap data that does not match the variant."""
+    oversized radius, a gap too many or too few, or the wrong variant
+    label."""
     m = draw(st.integers(1, 3))
     n = draw(st.integers(0, 4))
-    variant = draw(st.sampled_from(VARIANTS))
     h = F(1, 2 * m * cells)  # half a cell
     positive = draw(st.booleans())  # distinct interior cuts: no zero gap
     cuts = sorted(draw(st.lists(st.integers(positive, cells - positive),
@@ -340,8 +318,11 @@ def lattice_systems(draw, cells=8):
     if n and draw(st.integers(0, 9)) == 0:
         radii[draw(st.integers(0, n - 1))] = (cells + 1) * h
     phi = tuple(g * h for g in gaps)
-    if (variant in ("E", "uE")) != (draw(st.integers(0, 9)) == 0):
-        phi = None
+    if draw(st.integers(0, 9)) == 0:
+        phi = phi[:-1] if n and draw(st.booleans()) else phi + (h,)
+    variant = "uCc" if n and not any(radii) else "uEc"
+    if draw(st.integers(0, 3)) == 0:
+        variant = {"uEc": "uCc", "uCc": "uEc"}[variant]
     return m, list(zip(zs, radii)), phi, variant
 
 
@@ -356,3 +337,11 @@ def test_validation_matches_brute_force_oracle(args):
     except InvariantViolation:
         got = False
     assert got == want
+    # the JSON boundary agrees, and an accepted system round-trips exactly
+    j = {"m": m, "variant": variant, "phi": [rat_str(p) for p in phi],
+         "pairs": [{"zeta": rat_str(z % 1), "r": rat_str(r)} for z, r in pairs]}
+    if want:
+        assert arc_system_to_json(arc_system_from_json(j)) == j
+    else:
+        with pytest.raises(InvariantViolation):
+            arc_system_from_json(j)

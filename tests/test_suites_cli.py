@@ -65,12 +65,13 @@ def test_all_suites_pass_small():
         assert rep.cases > 0
 
 
-def test_report_exit_contract(tmp_path):
+def test_report_exit_contract(tmp_path, capsys):
     out = tmp_path / "report.json"
-    cfg = RunConfig(suite="operad-laws", seed=0, trials=20, out=str(out))
-    rep = run_suite(cfg)
+    code = cli.main(["suite", "operad-laws", "--seed", "0", "--trials", "20",
+                     "--out", str(out)])
     data = json.loads(out.read_text())
-    assert data["ok"] is rep.ok
+    assert json.loads(capsys.readouterr().out) == data
+    assert code == (0 if data["ok"] else 1)
     assert data["suite"] == "operad-laws"
     assert data["failures"] == []
 
@@ -253,6 +254,35 @@ _ASSOC = {"instance": "assoc", "perm": [1]}
 _COMPACT = {"instance": "dc", "perm": [1], "pairs": [{"v": "0", "r": "1/2"}]}
 _MONOID = {"elements": ["*", "e"], "unit": "e", "m": 1,
            "mul": [["*", "*"], ["*", "e"]], "sigma": ["*", "e"]}
+
+
+@pytest.mark.parametrize("argv, suite", [
+    pytest.param(["operad", "verify", "--instance", "dR", "--trials", "5"],
+                 "dR", id="operad-verify-instance"),
+    pytest.param(["bar", "cyclic-verify", "--qmax", "2", "--trials", "5",
+                  "--monoid", json.dumps(_MONOID)], "cyclic-relations[monoid, m=1]",
+                 id="bar-cyclic-verify-monoid"),
+])
+def test_cli_out_writes_the_printed_report(tmp_path, capsys, argv, suite):
+    out = tmp_path / "report.json"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data == json.loads(capsys.readouterr().out)
+    assert data["suite"] == suite and data["ok"]
+
+# arc systems whose variant label or gap list the boundary rejects, each with
+# the text its error names
+_BAD_SYSTEMS = {
+    "system-variant-E": ({"m": 1, "variant": "E", "pairs": _SYSTEM["pairs"]},
+                         "missing field 'phi'"),
+    "system-variant-uEprime": ({**_SYSTEM, "variant": "uEprime"},
+                               "variant 'uEprime' is not 'uEc'"),
+    "system-uEc-zero-radii": ({**_SYSTEM, "pairs": [{"zeta": "0", "r": "0"}]},
+                              "variant 'uEc' is not 'uCc'"),
+    "system-uCc-no-arcs": ({"m": 1, "variant": "uCc", "pairs": [], "phi": []},
+                           "variant 'uCc' is not 'uEc'"),
+    "system-phi-null": ({**_SYSTEM, "phi": None}, "field 'phi'"),
+}
 # monoid tables the validator rejects, each with the invariant its error names
 _BAD_MONOIDS = {
     "monoid-m-0": ({**_MONOID, "m": 0}, "m must be >= 1"),
@@ -307,6 +337,10 @@ _BAD_MONOIDS = {
                  None, id="system-with-perm"),
     pytest.param(["suite", "embed-compose", "--trials", "1"], "seven",
                  id="env-seed-seven"),
+    pytest.param(["suite", "embed-compose", "--trials", "1",
+                  "--out", "no-such-dir/report.json"], None, id="out-unwritable"),
+    *(pytest.param(["element", "roundtrip", "--json", json.dumps(obj)],
+                   None, id=name) for name, (obj, _) in _BAD_SYSTEMS.items()),
     *(pytest.param(["bar", "cyclic-verify", "--qmax", "2", "--monoid", json.dumps(obj)],
                    None, id=name) for name, (obj, _) in _BAD_MONOIDS.items()),
 ])
@@ -316,6 +350,13 @@ def test_cli_malformed_input_exits_2(monkeypatch, capsys, argv, env_seed):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_system_errors_name_the_invariant(capsys):
+    for obj, text in _BAD_SYSTEMS.values():
+        assert cli.main(["element", "roundtrip", "--json", json.dumps(obj)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and text in err, err
 
 
 def test_cli_monoid_errors_name_the_invariant(capsys):
