@@ -7,6 +7,7 @@ comparison with the cyclic space model.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -629,42 +630,12 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _encode_space(x: ArcSystem, labels, den: int):
-    scale = x.m * den
-    zs = []
-    for z, _ in x.pairs:
-        v = z.value * scale
-        if v.denominator != 1:
-            raise InvariantViolation("system is not on the lattice")
-        zs.append(int(v) % scale)
-    ps = []
-    for p in x.phi:
-        v = p * scale
-        if v.denominator != 1:
-            raise InvariantViolation("system is not on the lattice")
-        ps.append(int(v))
-    return tuple(zs), tuple(ps), tuple(labels)
-
-
-def _decode_space(m: int, den: int, enc) -> tuple[ArcSystem, tuple[str, ...]]:
-    zs, ps, labels = enc
-    scale = m * den
-    pairs = tuple((Turn(Fraction(z, scale)), Fraction(0)) for z in zs)
-    phi = tuple(Fraction(p, scale) for p in ps)
-    return ArcSystem(m, pairs, phi), labels
-
-
-def _decode_lambda(m: int, den: int, enc) -> tuple[CyclicPoint, tuple[str, ...]]:
-    rbar, ts, labels = enc
-    return CyclicPoint(m, Turn(Fraction(rbar, den), Fraction(m)),
-                       tuple(Fraction(t, den) for t in ts)), labels
-
-
 def check_thm_cycbar_free(X: PointedCmSet, n_max: int, m: int, den: int = 4,
                           verify_reps: int = 50) -> Report:
     """Degreewise comparison for free coefficients: exact orbit-class counts on
-    a common rational lattice, with the explicit map verified to be a bijection
-    class by class (and re-verified through the exact-rational route on a
+    a common rational lattice, checked against the Burnside closed form, with
+    the explicit map and its inverse verified class by class on integer
+    encodings (and both re-verified through the exact-rational route on a
     sample of representatives)."""
     if X.m != m:
         raise MismatchError("letter set lives over a different cyclic order")
@@ -695,9 +666,15 @@ def check_thm_cycbar_free(X: PointedCmSet, n_max: int, m: int, den: int = 4,
                 for labels in itertools.product(letters, repeat=n):
                     space_classes.add(space_canon((zs, ps, labels)))
                     lam_classes.add(lam_canon((z0, ps, labels)))
+        # C_{mn} acts freely on the lattice, so Burnside counts the classes
+        closed = den * math.comb(den + n - 1, n - 1) * len(letters) ** n // n
         rep.per_degree.append({"n": n, "left_classes": len(space_classes),
-                               "right_classes": len(lam_classes)})
+                               "right_classes": len(lam_classes),
+                               "closed_form_classes": closed})
         rep.cases += len(space_classes)
+        if len(space_classes) != closed:
+            rep.fail("class-counts-closed-form", f"n={n}", str(closed),
+                     str(len(space_classes)))
         if len(space_classes) != len(lam_classes):
             rep.fail("class-counts", f"n={n}", str(len(space_classes)),
                      str(len(lam_classes)))
@@ -732,17 +709,20 @@ def check_thm_cycbar_free(X: PointedCmSet, n_max: int, m: int, den: int = 4,
             ok_bijection = False
 
         if ok_bijection:
-            # inverse (through the forward parametrization) on every class
-            for img, cls in images.items():
-                p, labels = _decode_lambda(m, den, img)
-                back = _encode_space(lambda_to_ucc(p), labels, den)
-                if space_canon(back) != cls:
+            # explicit inverse on every class: centers at rbar plus the
+            # prefix sums of the simplex, gaps the simplex
+            for (rbar, ts, labels), cls in images.items():
+                zs = tuple(itertools.accumulate(
+                    ts[:-1], lambda z, t: (z + t) % scale, initial=rbar))
+                if space_canon((zs, ts, labels)) != cls:
                     rep.fail("explicit-inverse", f"n={n}")
                     break
 
         # dual-route verification through the exact-rational types
         for cls in itertools.islice(sorted(space_classes), verify_reps):
-            space, labels = _decode_space(m, den, cls)
+            zs, ps, labels = cls
+            pairs = tuple((Turn(Fraction(z, scale)), Fraction(0)) for z in zs)
+            space = ArcSystem(m, pairs, tuple(Fraction(p, scale) for p in ps))
             orb = labeled_orbit(X, space, labels)
             lam = map_c_to_l(X, orb)
             rb = lam.point.rbar.value * den
@@ -753,5 +733,8 @@ def check_thm_cycbar_free(X: PointedCmSet, n_max: int, m: int, den: int = 4,
             enc = (int(rb), tuple(int(t) for t in ts), lam.labels)
             if lam_canon(enc) != forward(cls):
                 rep.fail("dual-route", f"n={n}")
+                break
+            if lambda_class_to_orbit(X, lam) != orb:
+                rep.fail("dual-route-inverse", f"n={n}")
                 break
     return rep

@@ -169,8 +169,7 @@ def _dispatch(args) -> int | Report:
     if args.module == "embed":
         if args.command == "compose":
             outer = _parse("--outer", args.outer, jsonio.arc_system_from_json)
-            inners = [_parse("--inner", b, lambda obj: tuple(
-                          (Fraction(v), Fraction(s)) for v, s in obj))
+            inners = [_parse("--inner", b, jsonio.interval_block_from_json)
                       for b in args.inner]
             _emit(jsonio.arc_system_to_json(circle.compose_uec(outer, inners)))
             return 0
@@ -185,6 +184,8 @@ def _dispatch(args) -> int | Report:
             _emit(jsonio.arc_system_to_json(x))
             return 0
         if args.command == "retract":
+            if args.steps < 0:
+                raise InvariantViolation("--steps must be >= 0")
             x = _parse("--system", args.system, jsonio.arc_system_from_json)
             for _ in range(args.steps):
                 x = circle.retract_step(x)

@@ -255,10 +255,9 @@ def degeneracy_point(i: int, p: CyclicPoint) -> CyclicPoint:
     return CyclicPoint(p.m, p.rbar, t[:i + 1] + (Fraction(0),) + t[i + 1:])
 
 
-def act_on_point(w: str | CyclicWord, p: CyclicPoint,
-                 m: int | None = None) -> CyclicPoint:
+def act_on_point(w: str | CyclicWord, p: CyclicPoint) -> CyclicPoint:
     if isinstance(w, str):
-        w = parse_word(w, m if m is not None else p.m, p.q)
+        w = parse_word(w, p.m, p.q)
     if w.m != p.m:
         raise MismatchError("cyclic order mismatch")
     if w.source != p.q:
@@ -355,15 +354,15 @@ def sample_point(rng: random.Random, m: int, q: int) -> CyclicPoint:
     return CyclicPoint(m, Turn(rbar, Fraction(m)), simplex)
 
 
-def sample_word(rng: random.Random, m: int, source: int, length: int,
-                max_degree: int = 8) -> CyclicWord:
+def sample_word(rng: random.Random, m: int, source: int,
+                length: int) -> CyclicWord:
     gens: list[Gen] = []
     q = source
     for _ in range(length):
         kinds = ["t", "s"]
         if q >= 1:
             kinds.append("d")
-        if q >= max_degree:
+        if q >= 8:
             kinds = [k for k in kinds if k != "s"]
         kind = rng.choice(kinds)
         if kind == "t":

@@ -68,7 +68,7 @@ def _member_to_json(x: CyclicElem) -> dict:
 
 def _member_from_json(obj) -> CyclicElem:
     if not isinstance(obj, dict):
-        raise SchemaError("wreath members are {order, exponent} objects")
+        raise SchemaError("group members are {order, exponent} objects")
     return CyclicElem(int(_need(obj, "order")), int(_need(obj, "exponent")))
 
 
@@ -185,7 +185,7 @@ def operad_elem_from_json(obj: dict, instance: str | None = None):
         order = int(inst.removeprefix("framed-c"))
         group = SignedGroup(order, -1 if order % 2 == 0 else 1)
         pairs = tuple((parse_rat(_need(p, "v")), parse_rat(_need(p, "r")),
-                       CyclicElem(order, int(_need(_need(p, "h"), "exponent"))))
+                       _member_from_json(_need(p, "h")))
                       for p in _need(obj, "pairs"))
         x = FramedTuple(pairs, group)
         FramedOperad(group).validate(x)
@@ -197,6 +197,13 @@ def operad_elem_from_json(obj: dict, instance: str | None = None):
         COMPACT.validate(x)
         return x
     raise SchemaError(f"unknown operad instance {inst!r}")
+
+
+def interval_block_from_json(obj) -> tuple:
+    """An inner block of `compose_uec`: a compactified-interval element."""
+    block = tuple((Fraction(v), Fraction(s)) for v, s in obj)
+    COMPACT.validate(CompactElem(block, Perm.identity(len(block))))
+    return block
 
 
 # -- round trip -------------------------------------------------------------

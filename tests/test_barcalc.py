@@ -4,6 +4,7 @@ labeled orbits, and the degreewise comparison for free coefficients."""
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -23,7 +24,8 @@ from arcbar.barcalc import (BASE_WORD, BarComplex, EMPTY_WORD, OVERFLOW_WORD,
                             twist_order, verify_cyclic_object)
 from arcbar.circle import (circle_act, sample_ucc, sample_uec, system,
                            wreath_act)
-from arcbar.cyclic import circle_act_point, sample_point, twist_point
+from arcbar.cyclic import (CyclicPoint, circle_act_point, lambda_to_ucc,
+                           sample_point, twist_point)
 from arcbar.groups import act_labels, upsilon, znwrcm_elements
 from arcbar.rational import InvariantViolation, MismatchError, Turn
 from arcbar.report import MAX_LISTED
@@ -593,7 +595,7 @@ def test_thm_cycbar_two_arc_lattice_count():
     out = check_thm_cycbar_free(X, 2, 1, 4)
     assert out.ok
     assert out.per_degree[1] == {"n": 2, "left_classes": 10,
-                                 "right_classes": 10}
+                                 "right_classes": 10, "closed_form_classes": 10}
 
 
 def _cycled_letters(letters: str, m: int):
@@ -744,6 +746,45 @@ def test_thm_cycbar_counts_match_burnside():
         assert out.ok, out.failures
         assert [e["left_classes"] for e in out.per_degree] == burnside
         assert [e["right_classes"] for e in out.per_degree] == burnside
+        assert [e["closed_form_classes"] for e in out.per_degree] == burnside
+
+
+def _encode_ucc(x, den: int):
+    """A zero-radius arc system as (centers, gaps) in 1/(m*den) turns."""
+    scale = x.m * den
+    zs = tuple(z.value * scale for z, _ in x.pairs)
+    ps = tuple(p * scale for p in x.phi)
+    assert all(v.denominator == 1 for v in zs + ps), "not on the lattice"
+    return tuple(int(z) % scale for z in zs), tuple(int(p) for p in ps)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_encoded_inverse_matches_fraction_inverse(m):
+    # the inverse that check_thm_cycbar_free runs on every class (centers at
+    # rbar plus the prefix sums of the simplex, gaps the simplex) is
+    # lambda_to_ucc on the encodings, class by class
+    den, scale = 4, 4 * m
+    X = pointed_set("X", ["x", "y"], m, {"x": "y", "y": "x"} if m % 2 == 0 else {})
+    for n in range(1, 5):
+        classes = {_canon_twists(rbar, ts, labels, den, X.sigma_pow)
+                   for rbar in range(den) for ts in _compositions(den, n)
+                   for labels in itertools.product(X.nonbase(), repeat=n)}
+        assert len(classes) == den * math.comb(den + n - 1, n - 1) * 2 ** n // n
+        for rbar, ts, _ in classes:
+            zs = tuple(itertools.accumulate(
+                ts[:-1], lambda z, t: (z + t) % scale, initial=rbar))
+            p = CyclicPoint(m, Turn(F(rbar, den), F(m)), tuple(F(t, den) for t in ts))
+            assert (zs, ts) == _encode_ucc(lambda_to_ucc(p), den), (m, rbar, ts)
+
+
+def test_thm_cycbar_dual_route_inverse_is_checked(monkeypatch):
+    # a Fraction inverse that rotates its point is caught on the sample by
+    # the dual-route-inverse law, while the integer inverse still holds
+    rotated = lambda p: lambda_to_ucc(circle_act_point(F(1, 8), p))
+    monkeypatch.setattr(barcalc, "lambda_to_ucc", rotated)
+    X = pointed_set("X", ["x", "y"], 2, {"x": "y", "y": "x"})
+    out = check_thm_cycbar_free(X, 2, 2, 4, verify_reps=3)
+    assert {f["law"] for f in out.failures} == {"dual-route-inverse"}
 
 
 def test_coequalizer_routes_agree():

@@ -80,10 +80,7 @@ def test_every_top_level_definition_is_reached_from_src():
     allowed = {alias.name
                for node in ast.walk(ast.parse(acceptance.read_text()))
                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    allowed |= {
-        "lambda_class_to_orbit",  # ROADMAP item 8 gives it a caller
-        "split_orbit_element",    # ROADMAP item 9 builds on it
-    }
+    allowed.add("split_orbit_element")  # ROADMAP item 9 builds on it
     unreached = [top.name for tree in modules for top in tree.body
                  if isinstance(top, (ast.FunctionDef, ast.ClassDef))
                  and top.name not in allowed

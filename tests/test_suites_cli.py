@@ -293,6 +293,22 @@ _BAD_MONOIDS = {
                          "product a*a = 'q' not among the elements"),
 }
 
+# requests that parse but break an invariant the boundary checks, each with
+# the text its error names
+_ZERO_RADIUS_SYSTEM = {"m": 1, "variant": "uCc", "pairs": [{"zeta": "0", "r": "0"}],
+                       "phi": ["1"]}
+_BAD_REQUESTS = {
+    "inner-center-outside": (["embed", "compose", "--outer", json.dumps(_SYSTEM),
+                              "--inner", '[["4", "0"]]'], "leaves [-1,1]"),
+    "retract-steps-neg": (["embed", "retract", "--system",
+                           json.dumps(_ZERO_RADIUS_SYSTEM), "--steps", "-3"],
+                          "--steps must be >= 0"),
+    "framed-h-order-5": (["element", "roundtrip", "--json", json.dumps(
+        {"instance": "framed-c2",
+         "pairs": [{"v": "0", "r": "1/2", "h": {"order": 5, "exponent": 1}}]})],
+                         "group member from a different group"),
+}
+
 
 @pytest.mark.parametrize("argv, env_seed", [
     pytest.param(["cyclic", "normalize", "--word", "dx", "--m", "2", "--q", "1"],
@@ -343,6 +359,7 @@ _BAD_MONOIDS = {
                    None, id=name) for name, (obj, _) in _BAD_SYSTEMS.items()),
     *(pytest.param(["bar", "cyclic-verify", "--qmax", "2", "--monoid", json.dumps(obj)],
                    None, id=name) for name, (obj, _) in _BAD_MONOIDS.items()),
+    *(pytest.param(argv, None, id=name) for name, (argv, _) in _BAD_REQUESTS.items()),
 ])
 def test_cli_malformed_input_exits_2(monkeypatch, capsys, argv, env_seed):
     if env_seed is not None:
@@ -362,6 +379,13 @@ def test_cli_system_errors_name_the_invariant(capsys):
 def test_cli_monoid_errors_name_the_invariant(capsys):
     for obj, text in _BAD_MONOIDS.values():
         argv = ["bar", "cyclic-verify", "--qmax", "2", "--monoid", json.dumps(obj)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and text in err, err
+
+
+def test_cli_boundary_errors_name_the_invariant(capsys):
+    for argv, text in _BAD_REQUESTS.values():
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and text in err, err
