@@ -15,8 +15,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .groups import CyclicElem, Perm, WreathElem, slot_act
+from .operads import substitute
 from .rational import (InvariantViolation, MismatchError, Turn, _draw_rat,
-                       draw_composition, images_overlap, rat)
+                       draw_composition, first_overlap, mod_frac, rat)
 
 Pair = tuple[Turn, Fraction]
 UPairs = Sequence[tuple[Fraction, Fraction]]
@@ -92,15 +93,14 @@ class ArcSystem:
     def _check_images(self, q: Fraction) -> None:
         # Coincident zero-radius images are admitted, so a pair of zero radii
         # can never fail; a system with no positive radius needs no check.
-        rs = self.radii()
-        if not any(rs):
+        if not any(r for _, r in self.pairs):
             return
-        cls = [z.reduced(q) for z, _ in self.pairs]
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if (rs[i] or rs[j]) and images_overlap(cls[i], rs[i], cls[j], rs[j]):
-                    raise InvariantViolation(
-                        f"images of arcs {i} and {j} overlap with positive radius")
+        pair = first_overlap(sorted((mod_frac(z.value, q), r, i)
+                                    for i, (z, r) in enumerate(self.pairs)), q)
+        if pair:
+            i, j = sorted(pair)
+            raise InvariantViolation(
+                f"images of arcs {i} and {j} overlap with positive radius")
 
 
 def check_variant(x: ArcSystem, label: str) -> None:
@@ -139,16 +139,8 @@ def compose_uec(outer: ArcSystem, inners: Sequence[UPairs]) -> ArcSystem:
         raise MismatchError(
             f"arity mismatch: outer degree {outer.n}, {len(inners)} inner blocks")
     inners = [tuple((Fraction(v), Fraction(s)) for v, s in blk) for blk in inners]
-    m = outer.m
     sizes = [len(blk) for blk in inners]
-    total = sum(sizes)
-    pairs: list[Pair] = []
-    flat: list[tuple[int, int]] = []  # flat index -> (block, slot)
-    for b, blk in enumerate(inners):
-        zb, rb = outer.pairs[b]
-        for k, (v, s) in enumerate(blk):
-            pairs.append((zb + rb * v, rb * s))
-            flat.append((b, k))
+    pairs = substitute(outer.pairs, inners, [1] * outer.n)
 
     def gap_to_next_block(b: int) -> tuple[Fraction, int]:
         """Sum of outer gaps from arc b to the next nonempty block (cyclically)."""
@@ -161,17 +153,14 @@ def compose_uec(outer: ArcSystem, inners: Sequence[UPairs]) -> ArcSystem:
                 return acc, idx
 
     psi: list[Fraction] = []
-    for ell in range(total):
-        b, k = flat[ell]
+    for b, blk in enumerate(inners):
         rb = outer.pairs[b][1]
-        if k < sizes[b] - 1:
-            psi.append(rb * (inners[b][k + 1][0] - inners[b][k][0]))
-        else:
+        psi.extend(rb * (w2 - w1) for (w1, _), (w2, _) in zip(blk, blk[1:]))
+        if blk:
             acc, b2 = gap_to_next_block(b)
-            r2 = outer.pairs[b2][1]
-            psi.append(acc - rb * inners[b][k][0] + r2 * inners[b2][0][0])
+            psi.append(acc - rb * blk[-1][0] + outer.pairs[b2][1] * inners[b2][0][0])
 
-    return ArcSystem(m, tuple(pairs), tuple(psi))
+    return ArcSystem(outer.m, tuple(pairs), tuple(psi))
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_operad = sub.add_parser("operad", help="operad composition and law checks")
     operad_sub = p_operad.add_subparsers(dest="command", required=True)
     pc = operad_sub.add_parser("compose")
-    pc.add_argument("--instance", required=True, choices=sorted(INSTANCES))
+    pc.add_argument("--instance", required=True,
+                    choices=sorted(name for name, inst in INSTANCES.items()
+                                   if jsonio.has_json_form(inst)))
     pc.add_argument("--outer", required=True)
     pc.add_argument("--inner", action="append", default=[], required=True)
     pv = operad_sub.add_parser("verify")

@@ -3,6 +3,7 @@ permutations as one-based image arrays, and dictionaries for the structured
 values.  Parsing validates every invariant and names the violated one."""
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from typing import Any, Callable, TypeVar
 
@@ -41,12 +42,21 @@ def _need(obj: dict, key: str) -> Any:
 
 # -- scalars ----------------------------------------------------------------
 
+def _num(obj: dict, key: str, parse: Callable[[Any], T] = parse_rat) -> T:
+    """Parse the exact number in field `key`; a JSON float or boolean is none."""
+    value = _need(obj, key)
+    if isinstance(value, (bool, float)):
+        raise SchemaError(
+            f"field {key!r} takes an integer or a string, not {json.dumps(value)}")
+    return parse(value)
+
+
 def turn_to_json(t: Turn) -> dict:
     return {"value": rat_str(t.value), "modulus": rat_str(t.modulus)}
 
 
 def turn_from_json(obj: dict) -> Turn:
-    return Turn(parse_rat(_need(obj, "value")), parse_rat(_need(obj, "modulus")))
+    return Turn(_num(obj, "value"), _num(obj, "modulus"))
 
 
 # -- groups -----------------------------------------------------------------
@@ -69,7 +79,7 @@ def _member_to_json(x: CyclicElem) -> dict:
 def _member_from_json(obj) -> CyclicElem:
     if not isinstance(obj, dict):
         raise SchemaError("group members are {order, exponent} objects")
-    return CyclicElem(int(_need(obj, "order")), int(_need(obj, "exponent")))
+    return CyclicElem(_num(obj, "order", int), _num(obj, "exponent", int))
 
 
 def wreath_to_json(w: WreathElem) -> dict:
@@ -94,14 +104,13 @@ def arc_system_to_json(x: ArcSystem) -> dict:
 
 def arc_system_from_json(obj: dict) -> ArcSystem:
     """Parse an arc system; its `variant` label must be the one the radii give."""
-    pairs = tuple((Turn(parse_rat(_need(p, "zeta"))), parse_rat(_need(p, "r")))
-                  for p in _need(obj, "pairs"))
+    pairs = tuple((Turn(_num(p, "zeta")), _num(p, "r")) for p in _need(obj, "pairs"))
     try:
         gaps = iter(_need(obj, "phi"))
     except TypeError:
         raise SchemaError("field 'phi' must be a list of gaps, one per arc") from None
     phi = tuple(parse_rat(p) for p in gaps)
-    m, label = int(_need(obj, "m")), _need(obj, "variant")
+    m, label = _num(obj, "m", int), _need(obj, "variant")
     x = ArcSystem(m, pairs, phi)
     check_variant(x, label)
     return x
@@ -115,8 +124,8 @@ def point_to_json(p: CyclicPoint) -> dict:
 
 
 def point_from_json(obj: dict) -> CyclicPoint:
-    m = int(_need(obj, "m"))
-    return CyclicPoint(m, Turn(parse_rat(_need(obj, "rbar")), Fraction(m)),
+    m = _num(obj, "m", int)
+    return CyclicPoint(m, Turn(_num(obj, "rbar"), Fraction(m)),
                        tuple(parse_rat(t) for t in _need(obj, "simplex")))
 
 
@@ -125,8 +134,7 @@ def word_to_json(w: CyclicWord) -> dict:
 
 
 def word_from_json(obj: dict) -> CyclicWord:
-    return parse_word(_need(obj, "word"), int(_need(obj, "m")),
-                      int(_need(obj, "q")))
+    return parse_word(_need(obj, "word"), _num(obj, "m", int), _num(obj, "q", int))
 
 
 # -- monoid tables ----------------------------------------------------------
@@ -142,66 +150,72 @@ def monoid_from_json(obj: dict) -> FinCmMonoid:
     return FinCmMonoid(name=obj.get("name", "monoid"),
                        elements=tuple(_need(obj, "elements")),
                        base=obj.get("base", "*"), unit=_need(obj, "unit"),
-                       m=int(_need(obj, "m")),
+                       m=_num(obj, "m", int),
                        mul_table=tuple(tuple(row) for row in _need(obj, "mul")),
                        sigma_table=tuple(_need(obj, "sigma")))
 
 
 # -- operad elements --------------------------------------------------------
 
+def _intervals_out(pairs) -> list[dict]:
+    return [{"v": rat_str(v), "r": rat_str(r)} for v, r, *_ in pairs]
+
+
+def _interval_in(obj: dict) -> tuple[Fraction, Fraction]:
+    return _num(obj, "v"), _num(obj, "r")
+
+
+# the operad element types with a JSON form, each with its serializer
+_OPERAD_TO_JSON: dict[type, Callable[[Any], dict]] = {
+    AssocElem: lambda x: {"instance": "assoc", "perm": perm_to_json(x.perm)},
+    DiskTuple: lambda x: {"instance": "dR", "pairs": _intervals_out(x.pairs)},
+    FramedTuple: lambda x: {"instance": f"framed-c{x.group.order}",
+                            "pairs": [{**p, "h": _member_to_json(h)} for p, (_, _, h)
+                                      in zip(_intervals_out(x.pairs), x.pairs)]},
+    CompactElem: lambda x: {"instance": "dc", "pairs": _intervals_out(x.u_pairs),
+                            "perm": perm_to_json(x.perm)},
+}
+
+
+def has_json_form(instance) -> bool:
+    """Whether the elements of an operad instance have a JSON form."""
+    return type(instance.unit()) in _OPERAD_TO_JSON
+
+
 def operad_elem_to_json(x) -> dict:
-    if isinstance(x, AssocElem):
-        return {"instance": "assoc", "perm": perm_to_json(x.perm)}
-    if isinstance(x, DiskTuple):
-        return {"instance": "dR",
-                "pairs": [{"v": rat_str(v), "r": rat_str(r)} for v, r in x.pairs]}
-    if isinstance(x, FramedTuple):
-        return {"instance": f"framed-c{x.group.order}",
-                "pairs": [{"v": rat_str(v), "r": rat_str(r),
-                           "h": {"order": h.order, "exponent": h.exponent}}
-                          for v, r, h in x.pairs]}
-    if isinstance(x, CompactElem):
-        return {"instance": "dc",
-                "pairs": [{"v": rat_str(v), "r": rat_str(r)} for v, r in x.u_pairs],
-                "perm": perm_to_json(x.perm)}
-    raise SchemaError(f"unserializable operad element {type(x).__name__}")
+    if type(x) not in _OPERAD_TO_JSON:
+        raise SchemaError(f"unserializable operad element {type(x).__name__}")
+    return _OPERAD_TO_JSON[type(x)](x)
 
 
 def operad_elem_from_json(obj: dict, instance: str | None = None):
     """Parse an operad element; with `instance` given, an element of any
     other instance is rejected before it is built."""
-    inst = _need(obj, "instance")
+    inst = str(_need(obj, "instance"))
     if instance is not None and inst != instance:
         raise SchemaError(f"element of instance {inst!r}, not {instance!r}")
     if inst == "assoc":
         return AssocElem(perm_from_json(_need(obj, "perm")))
     if inst == "dR":
-        pairs = tuple((parse_rat(_need(p, "v")), parse_rat(_need(p, "r")))
-                      for p in _need(obj, "pairs"))
-        x = DiskTuple(pairs)
-        LITTLE_DISKS.validate(x)
-        return x
-    if inst.startswith("framed-c"):
-        order = int(inst.removeprefix("framed-c"))
-        group = SignedGroup(order, -1 if order % 2 == 0 else 1)
-        pairs = tuple((parse_rat(_need(p, "v")), parse_rat(_need(p, "r")),
-                       _member_from_json(_need(p, "h")))
-                      for p in _need(obj, "pairs"))
-        x = FramedTuple(pairs, group)
-        FramedOperad(group).validate(x)
-        return x
-    if inst == "dc":
-        pairs = tuple((parse_rat(_need(p, "v")), parse_rat(_need(p, "r")))
-                      for p in _need(obj, "pairs"))
-        x = CompactElem(pairs, perm_from_json(_need(obj, "perm")))
-        COMPACT.validate(x)
-        return x
-    raise SchemaError(f"unknown operad instance {inst!r}")
+        operad = LITTLE_DISKS
+        x = DiskTuple(tuple(map(_interval_in, _need(obj, "pairs"))))
+    elif inst.startswith("framed-c"):
+        operad = FramedOperad(SignedGroup(int(inst.removeprefix("framed-c"))))
+        x = FramedTuple(tuple((*_interval_in(p), _member_from_json(_need(p, "h")))
+                              for p in _need(obj, "pairs")), operad.group)
+    elif inst == "dc":
+        operad = COMPACT
+        x = CompactElem(tuple(map(_interval_in, _need(obj, "pairs"))),
+                        perm_from_json(_need(obj, "perm")))
+    else:
+        raise SchemaError(f"unknown operad instance {inst!r}")
+    operad.validate(x)
+    return x
 
 
 def interval_block_from_json(obj) -> tuple:
     """An inner block of `compose_uec`: a compactified-interval element."""
-    block = tuple((Fraction(v), Fraction(s)) for v, s in obj)
+    block = tuple((parse_rat(v), parse_rat(s)) for v, s in obj)
     COMPACT.validate(CompactElem(block, Perm.identity(len(block))))
     return block
 

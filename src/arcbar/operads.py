@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .groups import CyclicElem, Perm, block_perm, block_sum
-from .rational import InvariantViolation, MismatchError, _draw_rat
+from .rational import InvariantViolation, MismatchError, _draw_rat, first_overlap
 from .report import Report
 
 Pair = tuple[Fraction, Fraction]
@@ -21,33 +21,25 @@ Pair = tuple[Fraction, Fraction]
 
 @dataclass(frozen=True)
 class SignedGroup:
-    """A finite cyclic group H = C_order with an action on R by signs.
-
-    generator_sign = -1 requires even order (the sign map must be a
-    homomorphism H -> {+1, -1}).
-    """
+    """A finite cyclic group H = C_order acting on R by signs: the generator
+    acts by -1 when the order is even, and trivially when it is odd."""
 
     order: int
-    generator_sign: int
 
     def __post_init__(self) -> None:
         if self.order < 1:
             raise InvariantViolation("order must be >= 1")
-        if self.generator_sign not in (1, -1):
-            raise InvariantViolation("generator sign must be +1 or -1")
-        if self.generator_sign == -1 and self.order % 2 != 0:
-            raise InvariantViolation("sign action needs even order")
 
     def sign(self, h: CyclicElem) -> int:
         if h.order != self.order:
             raise MismatchError("element from a different group")
-        return self.generator_sign ** (h.exponent % 2) if self.generator_sign == -1 else 1
+        return -1 if self.order % 2 == 0 and h.exponent % 2 else 1
 
     def identity(self) -> CyclicElem:
         return CyclicElem.identity(self.order)
 
 
-C2_SIGN = SignedGroup(2, -1)
+C2_SIGN = SignedGroup(2)
 
 
 # ---------------------------------------------------------------------------
@@ -122,41 +114,18 @@ class CompactElem:
 # validation
 # ---------------------------------------------------------------------------
 
-def _check_into_unit(v: Fraction, r: Fraction) -> None:
-    if abs(v) + r > 1:
-        raise InvariantViolation(f"image of [-1,1] under t -> {v}+{r}t leaves [-1,1]")
-
-
-def _check_disjoint(pairs: Sequence[Pair]) -> None:
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            vi, ri = pairs[i]
-            vj, rj = pairs[j]
-            if abs(vi - vj) < ri + rj:
-                raise InvariantViolation(
-                    f"open images of disks {i} and {j} overlap")
-
-
 def validate_disk_tuple(d: DiskTuple) -> None:
-    """Interval invariants under the open-disjointness reading.
-
-    For positive radii in one dimension the open and boundary-contact
-    conventions impose the same parameter constraints.
-    """
+    """Intervals with positive radii inside [-1, 1] whose open images are
+    pairwise disjoint."""
     for v, r in d.pairs:
         if not (0 < r <= 1):
             raise InvariantViolation(f"radius {r} outside (0, 1]")
-        _check_into_unit(v, r)
-        if not (abs(v) < 1):
-            raise InvariantViolation(f"center {v} not in the open disk")
-    _check_disjoint(d.pairs)
-
-
-def validate_framed(f: FramedTuple) -> None:
-    validate_disk_tuple(DiskTuple(tuple((v, r) for v, r, _ in f.pairs)))
-    for _, _, h in f.pairs:
-        if h.order != f.group.order:
-            raise MismatchError("group member from a different group")
+        if abs(v) + r > 1:
+            raise InvariantViolation(f"image of [-1,1] under t -> {v}+{r}t leaves [-1,1]")
+    pair = first_overlap(sorted((v, r, i) for i, (v, r) in enumerate(d.pairs)))
+    if pair:
+        i, j = sorted(pair)
+        raise InvariantViolation(f"open images of disks {i} and {j} overlap")
 
 
 def validate_compact(c: CompactElem) -> None:
@@ -164,15 +133,22 @@ def validate_compact(c: CompactElem) -> None:
     for v, r in pairs:
         if not (0 <= r <= 1):
             raise InvariantViolation(f"radius {r} outside [0, 1]")
-        _check_into_unit(v, r)
-    for j in range(len(pairs) - 1):
-        vj, rj = pairs[j]
-        vk, rk = pairs[j + 1]
-        if vj > vk:
-            raise InvariantViolation("centers not sorted")
-        if vj + rj > vk - rk and not (rj == 0 and rk == 0):
-            raise InvariantViolation(
-                f"overlapping images at slots {j},{j + 1} with positive radius")
+        if abs(v) + r > 1:
+            raise InvariantViolation(f"image of [-1,1] under t -> {v}+{r}t leaves [-1,1]")
+    if any(a[0] > b[0] for a, b in zip(pairs, pairs[1:])):
+        raise InvariantViolation("centers not sorted")
+    pair = first_overlap([(v, r, j) for j, (v, r) in enumerate(pairs)])
+    if pair:
+        raise InvariantViolation(
+            f"overlapping images at slots {pair[0]},{pair[1]} with positive radius")
+
+
+def substitute(outer: Sequence[Pair], blocks: Sequence[Sequence[Pair]],
+               signs: Sequence[int]) -> list[Pair]:
+    """Composition of interval tuples: block i lands in outer interval
+    (v, r), reflected by the sign e of that slot, as (v + e*r*w, r*s)."""
+    return [(v + (r if e == 1 else -r) * w, r * s)
+            for (v, r), e, block in zip(outer, signs, blocks) for w, s in block]
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +235,8 @@ class LittleDiskOperad:
     def compose(self, outer: DiskTuple, inners: Sequence[DiskTuple]) -> DiskTuple:
         if len(inners) != outer.arity:
             raise MismatchError("arity mismatch")
-        pairs: list[Pair] = []
-        for (v, r), inner in zip(outer.pairs, inners):
-            for (w, s) in inner.pairs:
-                pairs.append((v + r * w, r * s))
-        out = DiskTuple(tuple(pairs))
+        out = DiskTuple(tuple(substitute(outer.pairs, [b.pairs for b in inners],
+                                         [1] * outer.arity)))
         self.validate(out)
         return out
 
@@ -290,7 +263,9 @@ class FramedOperad:
         return FramedTuple(full, self.group)
 
     def validate(self, x: FramedTuple) -> None:
-        validate_framed(x)
+        validate_disk_tuple(DiskTuple(tuple((v, r) for v, r, _ in x.pairs)))
+        if any(h.order != x.group.order for _, _, h in x.pairs):
+            raise MismatchError("group member from a different group")
 
     def act(self, x: FramedTuple, sigma: Perm) -> FramedTuple:
         return FramedTuple(sigma.act(x.pairs), x.group)
@@ -298,12 +273,13 @@ class FramedOperad:
     def compose(self, outer: FramedTuple, inners: Sequence[FramedTuple]) -> FramedTuple:
         if len(inners) != outer.arity:
             raise MismatchError("arity mismatch")
-        pairs: list[tuple[Fraction, Fraction, CyclicElem]] = []
-        for (v, r, h), inner in zip(outer.pairs, inners):
-            sign = self.group.sign(h)
-            for (w, s, g) in inner.pairs:
-                pairs.append((v + r * sign * w, r * s, h.compose(g)))
-        out = FramedTuple(tuple(pairs), self.group)
+        intervals = substitute([(v, r) for v, r, _ in outer.pairs],
+                               [[(w, s) for w, s, _ in b.pairs] for b in inners],
+                               [self.group.sign(h) for _, _, h in outer.pairs])
+        members = [h.compose(g) for (_, _, h), b in zip(outer.pairs, inners)
+                   for _, _, g in b.pairs]
+        out = FramedTuple(tuple((v, r, g) for (v, r), g in zip(intervals, members)),
+                          self.group)
         self.validate(out)
         return out
 
@@ -345,10 +321,9 @@ class SemidirectOperad:
         disks = [self._conjugate(h, inner.disk)
                  for h, inner in zip(outer.members, inners)]
         disk = LITTLE_DISKS.compose(outer.disk, disks)
-        members: list[CyclicElem] = []
-        for h, inner in zip(outer.members, inners):
-            members.extend(h.compose(k) for k in inner.members)
-        return SemidirectElem(disk, tuple(members), outer.group)
+        members = tuple(h.compose(k) for h, b in zip(outer.members, inners)
+                        for k in b.members)
+        return SemidirectElem(disk, members, outer.group)
 
 
 def sample_ucompact(rng: random.Random, arity: int, den: int = 8) -> tuple[Pair, ...]:
@@ -378,11 +353,9 @@ class CompactOperad:
             raise MismatchError("arity mismatch")
         sizes = [b.arity for b in inners]
         inv = outer.perm.inverse()
-        u: list[Pair] = []
-        for p in range(outer.arity):
-            v, r = outer.u_pairs[p]
-            for (w, s) in inners[inv(p)].u_pairs:
-                u.append((v + r * w, r * s))
+        u = substitute(outer.u_pairs,
+                       [inners[inv(p)].u_pairs for p in range(outer.arity)],
+                       [1] * outer.arity)
         perm = block_perm(outer.perm, sizes).compose(
             block_sum([b.perm for b in inners]))
         out = CompactElem(tuple(u), perm)
@@ -439,9 +412,9 @@ def semidirect_iso_inverse(x: FramedTuple) -> SemidirectElem:
 # each is required to commute with composition and the symmetric actions,
 # which check_operad_map verifies
 OPERAD_MAPS = {
-    "AssocToCompact": (assoc_to_compact, ASSOC, COMPACT),
-    "LittleToCompact": (little_to_compact, LITTLE_DISKS, COMPACT),
-    "FramedFromSemidirect": (semidirect_iso, SEMIDIRECT_C2, FRAMED_C2),
+    "assoc->dc": (assoc_to_compact, ASSOC, COMPACT),
+    "dR->dc": (little_to_compact, LITTLE_DISKS, COMPACT),
+    "semidirect->framed": (semidirect_iso, SEMIDIRECT_C2, FRAMED_C2),
 }
 
 
@@ -449,7 +422,7 @@ OPERAD_MAPS = {
 # law harness
 # ---------------------------------------------------------------------------
 
-def _split_blocks(flat: list, sizes: Sequence[int]) -> list[list]:
+def split_blocks(flat: list, sizes: Sequence[int]) -> list[list]:
     out = []
     at = 0
     for s in sizes:
@@ -484,7 +457,7 @@ def check_operad_laws(instance, seed: int, trials: int,
             ab = instance.compose(a, bs)
             lhs = instance.compose(ab, cs)
             inner = [instance.compose(b, blk)
-                     for b, blk in zip(bs, _split_blocks(cs, sizes))]
+                     for b, blk in zip(bs, split_blocks(cs, sizes))]
             rhs = instance.compose(a, inner)
             if lhs != rhs:
                 rep.fail("associativity", f"trial {t}")

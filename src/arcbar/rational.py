@@ -10,7 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 # The exact rational scalar.  `fractions.Fraction` already guarantees lowest
 # terms, positive denominator, and arbitrary-precision integer arithmetic.
@@ -45,7 +45,10 @@ def rat_str(x: Rat) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rat(s: str) -> Rat:
+def parse_rat(s: str | int) -> Rat:
+    """Parse a 'p/q' string or an integer; a float or a boolean is no exact input."""
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
+        raise InvariantViolation(f"not a rational: {s!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -101,34 +104,22 @@ class Turn:
     def __neg__(self) -> "Turn":
         return Turn(-self.value, self.modulus)
 
-    def reduced(self, new_modulus: Rat) -> "Turn":
-        """Image under the quotient by a finer modulus (e.g. S^1 -> S^1/C_m)."""
-        new_modulus = Fraction(new_modulus)
-        if mod_frac(self.modulus, new_modulus) != 0:
-            raise MismatchError(
-                f"{new_modulus} does not divide modulus {self.modulus}")
-        return Turn(self.value, new_modulus)
 
-
-def circular_distance(a: Rat, b: Rat, modulus: Rat) -> Rat:
-    """Shorter arc length between two angles on a circle of the given modulus."""
-    d = mod_frac(a - b, modulus)
-    return min(d, modulus - d)
-
-
-def images_overlap(c1: Turn, h1: Rat, c2: Turn, h2: Rat) -> bool:
-    """Intersection test for embedding images on the quotient circle.
-
-    A positive radius contributes the open arc around its center; a zero
-    radius contributes the single center point (a constant map still has a
-    point as image).
-    """
-    if c1.modulus != c2.modulus:
-        raise MismatchError("centers live on circles of different modulus")
-    d = circular_distance(c1.value, c2.value, c1.modulus)
-    if h1 == 0 and h2 == 0:
-        return d == 0
-    return d < h1 + h2
+def first_overlap(arcs: Sequence[tuple[Rat, Rat, object]],
+                  period: Rat | None = None) -> tuple[object, object] | None:
+    """Names of the first pair of (center, radius, name) arcs, sorted by
+    center, whose images overlap: centers closer than the sum of the radii.
+    Only neighbours are compared: if they are disjoint, the gaps telescope
+    and every pair is.  With a `period` the centers lie in one period of a
+    circle and the wrap-around pair (last, first + period) is one more."""
+    for (c1, r1, n1), (c2, r2, n2) in zip(arcs, arcs[1:]):
+        if c2 - c1 < r1 + r2:
+            return n1, n2
+    if period is not None and len(arcs) > 1:
+        (c2, r2, n2), (c1, r1, n1) = arcs[0], arcs[-1]
+        if c2 + period - c1 < r1 + r2:
+            return n1, n2
+    return None
 
 
 def _draw_rat(rng: random.Random, bound_den: int, lo: Rat, hi: Rat) -> Rat:

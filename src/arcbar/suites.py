@@ -9,10 +9,10 @@ from fractions import Fraction
 
 from . import barcalc, circle, cyclic
 from .groups import Perm, block_cycle_perm, znwrcm_elements
-from .operads import (ASSOC, COMPACT, FRAMED_C2, LITTLE_DISKS, SEMIDIRECT_C2,
-                      assoc_to_compact, check_operad_laws, check_operad_map,
-                      little_to_compact, sample_ucompact, semidirect_iso,
-                      semidirect_iso_inverse)
+from .operads import (ASSOC, COMPACT, FRAMED_C2, LITTLE_DISKS, OPERAD_MAPS,
+                      SEMIDIRECT_C2, check_operad_laws, check_operad_map,
+                      sample_ucompact, semidirect_iso, semidirect_iso_inverse,
+                      split_blocks, substitute)
 from .rational import InvariantViolation, Turn
 from .report import Report
 
@@ -47,10 +47,7 @@ def run_operad_laws(cfg: RunConfig) -> Report:
     for inst in instances:
         rep.absorb(check_operad_laws(inst, cfg.seed, cfg.trials,
                                      allow_nullary=inst.allow_nullary), inst.name)
-    for fn, src, dst, name in [
-            (assoc_to_compact, ASSOC, COMPACT, "assoc->dc"),
-            (little_to_compact, LITTLE_DISKS, COMPACT, "dR->dc"),
-            (semidirect_iso, SEMIDIRECT_C2, FRAMED_C2, "semidirect->framed")]:
+    for name, (fn, src, dst) in OPERAD_MAPS.items():
         rep.absorb(check_operad_map(fn, src, dst, cfg.seed + 1, cfg.trials,
                                     allow_nullary=src.allow_nullary), name)
     # the iso is a bijection
@@ -97,15 +94,8 @@ def run_embed_compose(cfg: RunConfig) -> Report:
         # associativity against the interval operad
         hs = [sample_ucompact(rng, rng.randint(0, 2)) for _ in range(fg.n)]
         lhs = circle.compose_uec(fg, hs)
-        at = 0
-        ghs = []
-        for g in gs:
-            blk = hs[at:at + len(g)]
-            at += len(g)
-            flat = []
-            for (v, r), h in zip(g, blk):
-                flat.extend((v + r * w, r * s) for w, s in h)
-            ghs.append(tuple(flat))
+        ghs = [tuple(substitute(g, blk, [1] * len(g)))
+               for g, blk in zip(gs, split_blocks(hs, [len(g) for g in gs]))]
         rhs = circle.compose_uec(f, ghs)
         if lhs != rhs:
             rep.fail("module-associativity", f"trial {t}")

@@ -42,6 +42,22 @@ def test_validation():
     system(1, [(0, F(1, 8)), (F(1, 8), 0)], [F(1, 8), F(7, 8)], "uEc")
     with pytest.raises(InvariantViolation):  # strictly inside is not
         system(1, [(0, F(1, 8)), (F(1, 16), 0)], [F(1, 16), F(15, 16)], "uEc")
+    # image overlap: an open arc per positive radius, a point per zero radius
+    system(1, [(0, F(1, 8)), (F(1, 2), F(1, 8))], [F(1, 2), F(1, 2)], "uEc")
+    # arcs touching on both sides
+    system(1, [(0, F(1, 4)), (F(1, 2), F(1, 4))], [F(1, 2), F(1, 2)], "uEc")
+    with pytest.raises(InvariantViolation):
+        system(1, [(0, F(1, 4)), (F(3, 8), F(1, 4))], [F(3, 8), F(5, 8)], "uEc")
+    system(1, [(F(1, 3), 0), (F(1, 3), 0)], [0, F(1)], "uCc")
+    system(1, [(F(1, 3), 0), (F(1, 2), 0)], [F(1, 6), F(5, 6)], "uCc")
+    # a point across the wrap-around, inside the arc at 0, on S^1 and on S^1/C_2
+    with pytest.raises(InvariantViolation):
+        system(1, [(0, F(1, 8)), (F(15, 16), 0)], [F(15, 16), F(1, 16)], "uEc")
+    with pytest.raises(InvariantViolation):
+        system(2, [(0, F(1, 8)), (F(15, 16), 0)], [F(7, 16), F(1, 16)], "uEc")
+    with pytest.raises(InvariantViolation):  # centers on another circle
+        ArcSystem(1, ((Turn(0), F(1, 8)), (Turn(0, F(1, 2)), F(1, 8))),
+                  (F(1, 2), F(1, 2)))
 
 
 def test_validation_builds_the_quantum_once(monkeypatch):

@@ -1,7 +1,9 @@
 """Operad instances: worked composition examples, the seeded law harness, the
 structure maps, and an independent full-tuple oracle for the compactified
 composition."""
+import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -106,8 +108,7 @@ def test_semidirect_iso_example():
 
 def test_named_map_registry():
     from arcbar.operads import OPERAD_MAPS
-    assert set(OPERAD_MAPS) == {"AssocToCompact", "LittleToCompact",
-                                "FramedFromSemidirect"}
+    assert set(OPERAD_MAPS) == {"assoc->dc", "dR->dc", "semidirect->framed"}
     for tag, (fn, src, dst) in OPERAD_MAPS.items():
         rep = check_operad_map(fn, src, dst, seed=1, trials=120,
                                allow_nullary=src is ASSOC)
@@ -196,3 +197,57 @@ def test_disjointness_preserved_by_composition():
         f_outer = FRAMED_C2.sample(rng, n)
         f_inners = [FRAMED_C2.sample(rng, rng.randint(1, 3)) for _ in range(n)]
         FRAMED_C2.validate(FRAMED_C2.compose(f_outer, f_inners))
+
+
+# -- a pairwise oracle for the interval validators ---------------------------
+
+def _pairwise_accepts(pairs, degenerate):
+    """The interval invariants written out with a test on every pair: radii
+    in (0, 1], or [0, 1] when `degenerate`, every image inside [-1, 1],
+    sorted centers when `degenerate`, and no two open images meeting; two
+    degenerate points may coincide."""
+    for v, r in pairs:
+        if not (0 <= r <= 1) or (r == 0 and not degenerate) or abs(v) + r > 1:
+            return False
+    if degenerate and any(a[0] > b[0] for a, b in zip(pairs, pairs[1:])):
+        return False
+    return not any(abs(vi - vj) < ri + rj and (ri or rj)
+                   for (vi, ri), (vj, rj) in itertools.combinations(pairs, 2))
+
+
+_PLUS = CyclicElem(2, 0)
+_VALIDATORS = {
+    "dR": (lambda ps: LITTLE_DISKS.validate(DiskTuple(ps)), False),
+    "framed-c2": (lambda ps: FRAMED_C2.validate(
+        FramedTuple(tuple((v, r, _PLUS) for v, r in ps), C2_SIGN)), False),
+    "dc": (lambda ps: COMPACT.validate(CompactElem(ps, Perm.identity(len(ps)))),
+           True),
+}
+_CASES = {
+    "touching": ((F(-1, 2), F(1, 2)), (F(1, 2), F(1, 2))),
+    "coincident-points": ((F(0), F(0)), (F(0), F(0))),
+    "point-on-boundary": ((F(-1, 2), F(1, 4)), (F(-1, 4), F(0))),
+    "point-inside": ((F(-1, 2), F(1, 4)), (F(-1, 2), F(0))),
+    "duplicate-disks": ((F(1, 4), F(1, 4)), (F(1, 4), F(1, 4))),
+}
+_LATTICE = [(F(v, 4), F(r, 4)) for v in range(-4, 5) for r in range(3)]
+
+
+@pytest.mark.parametrize("name", sorted(_VALIDATORS))
+def test_interval_validators_match_pairwise_oracle(name):
+    validate, degenerate = _VALIDATORS[name]
+    tuples = [p for n in range(4) for p in itertools.product(_LATTICE, repeat=n)]
+    tuples += list(_CASES.values())
+    for pairs in tuples:
+        want = _pairwise_accepts(pairs, degenerate)
+        try:
+            validate(pairs)
+            got, err = True, ""
+        except InvariantViolation as exc:
+            got, err = False, str(exc)
+        assert got == want, (name, pairs, err)
+        # an overlap error names two input slots whose images meet
+        slots = re.search(r"(?:disks|slots) (\d+)(?: and |,)(\d+)", err)
+        if slots:
+            i, j = map(int, slots.groups())
+            assert not _pairwise_accepts((pairs[i], pairs[j]), True), (pairs, err)

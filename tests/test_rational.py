@@ -1,4 +1,4 @@
-"""Exact scalars, turns, image overlaps and seeded draws."""
+"""Exact scalars, turns, the overlap scan and seeded draws."""
 import math
 import random
 from fractions import Fraction as F
@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcbar.rational import (InvariantViolation, MismatchError, Turn,
-                             _draw_rat, circular_distance, draw_composition,
-                             images_overlap, mod_frac, rat, rat_str,
-                             parse_rat)
+                             _draw_rat, draw_composition, first_overlap,
+                             mod_frac, rat, rat_str, parse_rat)
 
 rats = st.fractions(min_value=-50, max_value=50, max_denominator=16)
 
@@ -29,8 +28,11 @@ def test_rat_strings():
     assert rat_str(F(2, 4)) == "1/2"
     assert rat_str(F(-3, 1)) == "-3"
     assert parse_rat("7/3") == F(7, 3)
-    with pytest.raises(InvariantViolation):
-        parse_rat("x")
+    assert parse_rat(-3) == F(-3)
+    # only strings and integers are exact inputs
+    for bad in ("x", "1/0", 0.5, True, None, ["1"]):
+        with pytest.raises(InvariantViolation):
+            parse_rat(bad)
 
 
 @pytest.mark.parametrize("value, den, want", [
@@ -65,23 +67,28 @@ def test_turn_arithmetic():
     assert (-Turn(F(1, 3))).value == F(2, 3)
     with pytest.raises(MismatchError):
         a + Turn(F(0), F(1, 2))
-    assert Turn(F(5, 6)).reduced(F(1, 3)).value == F(1, 6)
-    with pytest.raises(MismatchError):
-        Turn(F(1, 2)).reduced(F(2, 5))
+
+
+def _circle_overlap(c1, h1, c2, h2):
+    return first_overlap(sorted([(c1 % 1, h1, 1), (c2 % 1, h2, 2)]), F(1)) is not None
 
 
 def test_arcs_overlap_examples():
     # a positive radius contributes its open arc, a zero radius its center
-    assert not images_overlap(Turn(F(0)), F(1, 8), Turn(F(1, 2)), F(1, 8))
-    assert not images_overlap(Turn(F(0)), F(1, 4), Turn(F(1, 2)), F(1, 4))
-    assert images_overlap(Turn(F(0)), F(1, 4), Turn(F(3, 8)), F(1, 4))
-    point = Turn(F(1, 3))
-    assert images_overlap(point, 0, point, 0)
-    assert not images_overlap(point, 0, Turn(F(1, 2)), 0)
-    assert images_overlap(Turn(F(0)), F(1, 8), Turn(F(15, 16)), 0)
-    assert not images_overlap(Turn(F(0)), F(1, 8), Turn(F(1, 8)), 0)
+    assert not _circle_overlap(F(0), F(1, 8), F(1, 2), F(1, 8))
+    assert not _circle_overlap(F(0), F(1, 4), F(1, 2), F(1, 4))
+    assert _circle_overlap(F(0), F(1, 4), F(3, 8), F(1, 4))
+    # coincident zero-radius points are not an overlap: the scan compares
+    # distance with the radius sum strictly, and arc systems admit them
+    assert not _circle_overlap(F(1, 3), 0, F(1, 3), 0)
+    assert not _circle_overlap(F(1, 3), 0, F(1, 2), 0)
+    # the wrap-around pair: 15/16 lies inside the open arc about 0
+    assert _circle_overlap(F(0), F(1, 8), F(15, 16), 0)
+    assert not _circle_overlap(F(0), F(1, 8), F(1, 8), 0)
+    # the scan reads centers in one period; turns on different circles
+    # cannot be brought into one
     with pytest.raises(MismatchError):
-        images_overlap(Turn(F(0)), F(1, 8), Turn(F(0), F(1, 2)), F(1, 8))
+        Turn(F(0)) - Turn(F(0), F(1, 2))
 
 
 @settings(max_examples=200)
@@ -90,14 +97,39 @@ def test_arcs_overlap_examples():
        st.fractions(min_value=0, max_value=F(1, 2), max_denominator=16),
        rats)
 def test_arcs_overlap_symmetric_rotation_invariant(c1, c2, h1, h2, rho):
-    got = images_overlap(Turn(c1), h1, Turn(c2), h2)
-    assert images_overlap(Turn(c2), h2, Turn(c1), h1) == got
-    assert images_overlap(Turn(c1 + rho), h1, Turn(c2 + rho), h2) == got
+    got = _circle_overlap(c1, h1, c2, h2)
+    assert _circle_overlap(c2, h2, c1, h1) == got
+    assert _circle_overlap(c1 + rho, h1, c2 + rho, h2) == got
 
 
-def test_circular_distance():
-    assert circular_distance(F(1, 8), F(7, 8), F(1)) == F(1, 4)
-    assert mod_frac(F(-1, 3), F(1)) == F(2, 3)
+def _pairwise_overlaps(arcs, period):
+    """The names of every overlapping pair by the definition: centers closer
+    than the sum of the radii, on a circle by the shorter way round."""
+    out = set()
+    for i, (ci, ri, ni) in enumerate(arcs):
+        for cj, rj, nj in arcs[i + 1:]:
+            d = abs(ci - cj)
+            if period is not None:
+                d = min(d, period - d)
+            if d < ri + rj:
+                out.add(frozenset((ni, nj)))
+    return out
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(st.fractions(min_value=0, max_value=F(15, 16),
+                                       max_denominator=16),
+                          st.fractions(min_value=0, max_value=F(1, 2),
+                                       max_denominator=8)), max_size=5),
+       st.sampled_from([None, F(1)]))
+def test_first_overlap_matches_pairwise(raw, period):
+    # the neighbour scan finds an overlap exactly when some pair overlaps,
+    # and the pair it names is one of them
+    arcs = sorted((c, r, k) for k, (c, r) in enumerate(raw))
+    got = first_overlap(arcs, period)
+    want = _pairwise_overlaps(arcs, period)
+    assert (got is not None) == bool(want)
+    assert got is None or frozenset(got) in want
 
 
 def test_draw_rat_contract():

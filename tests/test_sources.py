@@ -69,9 +69,18 @@ def _names_used(node):
                    for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def _defined_names(top):
+    """Names a top-level statement defines: a function, a class, or the
+    variables of an assignment."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return [top.name]
+    return [name for name in _assigned_names(top) if name]
+
+
 def test_every_top_level_definition_is_reached_from_src():
-    # a top-level function or class that no code in src/ outside its own body
-    # refers to is dead or test-only; re-exports in __init__ do not count
+    # a top-level function, class or assigned constant that no code in src/
+    # outside its own statement refers to is dead or test-only; re-exports
+    # in __init__ do not count
     root = Path(arcbar.__file__).parent
     modules = [ast.parse(path.read_text(), str(path))
                for path in sorted(root.rglob("*.py")) if path.name != "__init__.py"]
@@ -81,8 +90,7 @@ def test_every_top_level_definition_is_reached_from_src():
                for node in ast.walk(ast.parse(acceptance.read_text()))
                if isinstance(node, ast.ImportFrom) for alias in node.names}
     allowed.add("split_orbit_element")  # ROADMAP item 9 builds on it
-    unreached = [top.name for tree in modules for top in tree.body
-                 if isinstance(top, (ast.FunctionDef, ast.ClassDef))
-                 and top.name not in allowed
-                 and uses[top.name] == _names_used(top)[top.name]]
+    unreached = [name for tree in modules for top in tree.body
+                 for name in _defined_names(top)
+                 if name not in allowed and uses[name] == _names_used(top)[name]]
     assert not unreached, unreached

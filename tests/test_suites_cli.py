@@ -240,6 +240,18 @@ def test_cli_operad_compose(capsys):
     assert data["pairs"] == [{"v": "1/4", "r": "1/8"}]
 
 
+def test_cli_operad_compose_offers_only_instances_with_a_json_form(capsys):
+    # semidirect-c2 elements have no JSON form, so compose refuses the
+    # instance while verify still checks its laws
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["operad", "compose", "--instance", "semidirect-c2",
+                  "--outer", "{}", "--inner", "{}"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'semidirect-c2'" in capsys.readouterr().err
+    assert cli.main(["operad", "verify", "--instance", "semidirect-c2",
+                     "--trials", "5"]) == 0
+
+
 def test_cli_workbench_seed_env(monkeypatch, capsys):
     monkeypatch.setenv("WORKBENCH_SEED", "7")
     assert cli.main(["suite", "embed-compose", "--trials", "10"]) == 0
@@ -307,6 +319,22 @@ _BAD_REQUESTS = {
         {"instance": "framed-c2",
          "pairs": [{"v": "0", "r": "1/2", "h": {"order": 5, "exponent": 1}}]})],
                          "group member from a different group"),
+    # JSON floats and booleans are no exact scalars
+    "dR-v-float": (["operad", "compose", "--instance", "dR", "--outer",
+                    json.dumps({"instance": "dR", "pairs": [{"v": 0.1, "r": "1/2"}]}),
+                    "--inner", json.dumps(_DISKS)], "field 'v'"),
+    "system-m-float": (["element", "roundtrip", "--json", json.dumps({**_SYSTEM, "m": 1.9})],
+                       "field 'm'"),
+    "system-phi-float": (["element", "roundtrip", "--json",
+                          json.dumps({**_SYSTEM, "phi": [1.0]})], "not a rational: 1.0"),
+    "turn-value-true": (["element", "roundtrip", "--json",
+                         json.dumps({"value": True, "modulus": "1"})], "field 'value'"),
+    "framed-h-exponent-true": (["element", "roundtrip", "--json", json.dumps(
+        {"instance": "framed-c2",
+         "pairs": [{"v": "0", "r": "1/2", "h": {"order": 2, "exponent": True}}]})],
+                               "field 'exponent'"),
+    "inner-float": (["embed", "compose", "--outer", json.dumps(_SYSTEM),
+                     "--inner", '[[0.5, "1/2"]]'], "invalid --inner: not a rational: 0.5"),
 }
 
 
@@ -344,6 +372,8 @@ _BAD_REQUESTS = {
     pytest.param(["element", "roundtrip", "--json",
                   json.dumps({"instance": "framed-c0", "pairs": []})],
                  None, id="framed-order-0"),
+    pytest.param(["element", "roundtrip", "--json", json.dumps({"instance": 5})],
+                 None, id="operad-instance-int"),
     pytest.param(["element", "roundtrip", "--json",
                   json.dumps({"perm": [2, 1], "members": [[1], [1]]})],
                  None, id="wreath-perm-members"),
