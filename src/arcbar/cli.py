@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -13,7 +14,7 @@ from .rational import InvariantViolation, MismatchError, Turn
 from .report import Report
 
 
-def _default_seed() -> int:
+def _env_seed() -> int:
     return jsonio.parse_input(int, os.environ.get("WORKBENCH_SEED", "0"),
                               "WORKBENCH_SEED")
 
@@ -42,20 +43,20 @@ def _emit(obj, fh=None) -> None:
     fh.write("\n")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--m", type=int, default=3, dest="m_max")
-    p.add_argument("--nmax", type=int, default=3, dest="n_max")
-    p.add_argument("--qmax", "--q", type=int, default=3, dest="q_max")
-    p.add_argument("--den", type=int, default=4)
-    p.add_argument("--out", default=None)
+# the RunConfig fields a verdict command takes as options
+_RUN_OPTIONS = {"seed": ["--seed"], "trials": ["--trials"], "m_max": ["--m"],
+                "n_max": ["--nmax"], "q_max": ["--qmax", "--q"], "den": ["--den"]}
 
 
-def _suite_config(args, suite: str) -> suites.RunConfig:
-    return suites.RunConfig(suite=suite, seed=args.seed, trials=args.trials,
-                            n_max=args.n_max, q_max=args.q_max,
-                            m_max=args.m_max, den=args.den)
+def _add_verdict(p: argparse.ArgumentParser, suite: str | None = None) -> None:
+    """Make `p` a verdict command: its namespace holds the suite as `name`
+    (given here or positionally), and a RunConfig option left out stays None
+    and takes the RunConfig default (the seed: WORKBENCH_SEED)."""
+    if suite:
+        p.set_defaults(name=suite)
+    for dest, flags in _RUN_OPTIONS.items():
+        p.add_argument(*flags, type=int, dest=dest)
+    p.add_argument("--out")
 
 
 def _finish(rep: Report, out: str | None) -> int:
@@ -72,7 +73,8 @@ def _finish(rep: Report, out: str | None) -> int:
     return 0 if rep.ok else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="workbench",
         description="verification workbench for exact circle-operad algebra")
@@ -89,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = operad_sub.add_parser("verify")
     pv.add_argument("--instance", default="all",
                     choices=sorted(INSTANCES) + ["all"])
-    _add_common(pv)
+    _add_verdict(pv, "operad-laws")
 
     p_embed = sub.add_parser("embed", help="arc-system composition and actions")
     embed_sub = p_embed.add_subparsers(dest="command", required=True)
@@ -104,8 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pr = embed_sub.add_parser("retract")
     pr.add_argument("--system", required=True)
     pr.add_argument("--steps", type=int, default=1)
-    pvv = embed_sub.add_parser("verify")
-    _add_common(pvv)
+    _add_verdict(embed_sub.add_parser("verify"), "embed-compose")
 
     p_cyc = sub.add_parser("cyclic", help="m-cyclic words and the point model")
     cyc_sub = p_cyc.add_subparsers(dest="command", required=True)
@@ -116,21 +117,19 @@ def _build_parser() -> argparse.ArgumentParser:
     pact = cyc_sub.add_parser("act")
     pact.add_argument("--word", required=True)
     pact.add_argument("--point", required=True)
-    piso = cyc_sub.add_parser("iso-check")
-    _add_common(piso)
+    _add_verdict(cyc_sub.add_parser("iso-check"), "lambda-iso")
 
     p_bar = sub.add_parser("bar", help="cyclic bar constructions")
     bar_sub = p_bar.add_subparsers(dest="command", required=True)
     pcv = bar_sub.add_parser("cyclic-verify")
     pcv.add_argument("--monoid", default=None,
                      help="monoid table JSON; defaults to the standard battery")
-    _add_common(pcv)
-    pt = bar_sub.add_parser("thm-cycbar")
-    _add_common(pt)
+    _add_verdict(pcv, "cyclic-relations")
+    _add_verdict(bar_sub.add_parser("thm-cycbar"), "thm-cycbar")
 
     p_suite = sub.add_parser("suite", help="named verification suites")
     p_suite.add_argument("name", choices=sorted(suites.SUITES))
-    _add_common(p_suite)
+    _add_verdict(p_suite)
 
     p_elem = sub.add_parser("element", help="schema round trips")
     elem_sub = p_elem.add_subparsers(dest="command", required=True)
@@ -142,92 +141,74 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        result = _dispatch(args)
-        return result if isinstance(result, int) else _finish(result, args.out)
+        env_seed = _env_seed()  # read on each call: a malformed one fails every command
+        args = _parser().parse_args(argv)
+        if "name" in args:
+            return _finish(_verdict(args, env_seed), args.out)
+        _dispatch(args)
+        return 0
     except (InvariantViolation, MismatchError, jsonio.SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def _dispatch(args) -> int | Report:
-    """Run one command: a verdict command returns its report, any other
-    command prints its result and returns the exit status."""
-    if args.module == "operad":
-        if args.command == "compose":
-            inst = INSTANCES[args.instance]
-            elem = lambda obj: jsonio.operad_elem_from_json(obj, args.instance)
-            outer = _parse("--outer", args.outer, elem)
-            inners = [_parse("--inner", s, elem) for s in args.inner]
-            _emit(jsonio.operad_elem_to_json(inst.compose(outer, inners)))
-            return 0
-        cfg = _suite_config(args, "operad-laws")
-        if args.instance != "all":
-            inst = INSTANCES[args.instance]
-            return check_operad_laws(inst, cfg.seed, cfg.trials,
-                                     allow_nullary=inst.allow_nullary)
-        return suites.run_suite(cfg)
+def _verdict(args, env_seed: int) -> Report:
+    """Run a verdict command on the RunConfig of its given options: the laws
+    of one operad instance, the relations of one given monoid, or a suite."""
+    given = {k: v for k, v in vars(args).items() if k in _RUN_OPTIONS and v is not None}
+    cfg = suites.RunConfig(args.name, **{"seed": env_seed, **given})
+    if getattr(args, "instance", "all") != "all":
+        inst = INSTANCES[args.instance]
+        return check_operad_laws(inst, cfg.seed, cfg.trials,
+                                 allow_nullary=inst.allow_nullary)
+    if getattr(args, "monoid", None):
+        R = _parse("--monoid", args.monoid, jsonio.monoid_from_json)
+        return barcalc.verify_cyclic_object(R, cfg.q_max, seed=cfg.seed,
+                                            trials=cfg.trials)
+    return suites.run_suite(cfg)
 
-    if args.module == "embed":
-        if args.command == "compose":
-            outer = _parse("--outer", args.outer, jsonio.arc_system_from_json)
-            inners = [_parse("--inner", b, jsonio.interval_block_from_json)
-                      for b in args.inner]
-            _emit(jsonio.arc_system_to_json(circle.compose_uec(outer, inners)))
-            return 0
-        if args.command == "act":
-            x = _parse("--system", args.system, jsonio.arc_system_from_json)
-            if args.wreath:
-                x = circle.wreath_act(
-                    _parse("--wreath", args.wreath, jsonio.wreath_from_json), x)
-            if args.theta:
-                theta = jsonio.parse_input(Fraction, args.theta, "--theta")
-                x = circle.circle_act(Turn(theta), x)
-            _emit(jsonio.arc_system_to_json(x))
-            return 0
-        if args.command == "retract":
-            if args.steps < 0:
-                raise InvariantViolation("--steps must be >= 0")
-            x = _parse("--system", args.system, jsonio.arc_system_from_json)
-            for _ in range(args.steps):
-                x = circle.retract_step(x)
-            _emit(jsonio.arc_system_to_json(x))
-            return 0
-        return suites.run_suite(_suite_config(args, "embed-compose"))
 
-    if args.module == "cyclic":
-        if args.command == "normalize":
-            w = cyclic.parse_word(args.word, args.m, args.q)
-            nf = cyclic.normalize_word(w)
-            _emit({"input": str(w), "normal_form": str(nf),
-                   "source": nf.source, "target": nf.target, "m": nf.m})
-            return 0
-        if args.command == "act":
-            p = _parse("--point", args.point, jsonio.point_from_json)
-            out = cyclic.act_on_point(args.word, p)
-            _emit(jsonio.point_to_json(out))
-            return 0
-        return suites.run_suite(_suite_config(args, "lambda-iso"))
-
-    if args.module == "bar":
-        if args.command == "thm-cycbar":
-            return suites.run_suite(_suite_config(args, "thm-cycbar"))
-        cfg = _suite_config(args, "cyclic-relations")
-        if args.monoid:
-            R = _parse("--monoid", args.monoid, jsonio.monoid_from_json)
-            return barcalc.verify_cyclic_object(R, cfg.q_max, seed=cfg.seed,
-                                                trials=cfg.trials)
-        return suites.run_suite(cfg)
-
-    if args.module == "suite":
-        return suites.run_suite(_suite_config(args, args.name))
-
-    if args.module == "element":
+def _dispatch(args) -> None:
+    """Run one command that is no verdict and print its result."""
+    cmd = (args.module, args.command)
+    if cmd == ("operad", "compose"):
+        inst = INSTANCES[args.instance]
+        elem = lambda obj: jsonio.operad_elem_from_json(obj, args.instance)
+        outer = _parse("--outer", args.outer, elem)
+        inners = [_parse("--inner", s, elem) for s in args.inner]
+        _emit(jsonio.operad_elem_to_json(inst.compose(outer, inners)))
+    elif cmd == ("embed", "compose"):
+        outer = _parse("--outer", args.outer, jsonio.arc_system_from_json)
+        inners = [_parse("--inner", b, jsonio.interval_block_from_json)
+                  for b in args.inner]
+        _emit(jsonio.arc_system_to_json(circle.compose_uec(outer, inners)))
+    elif cmd == ("embed", "act"):
+        x = _parse("--system", args.system, jsonio.arc_system_from_json)
+        if args.wreath:
+            x = circle.wreath_act(
+                _parse("--wreath", args.wreath, jsonio.wreath_from_json), x)
+        if args.theta:
+            theta = jsonio.parse_input(Fraction, args.theta, "--theta")
+            x = circle.circle_act(Turn(theta), x)
+        _emit(jsonio.arc_system_to_json(x))
+    elif cmd == ("embed", "retract"):
+        if args.steps < 0:
+            raise InvariantViolation("--steps must be >= 0")
+        x = _parse("--system", args.system, jsonio.arc_system_from_json)
+        for _ in range(args.steps):
+            x = circle.retract_step(x)
+        _emit(jsonio.arc_system_to_json(x))
+    elif cmd == ("cyclic", "normalize"):
+        w = cyclic.parse_word(args.word, args.m, args.q)
+        nf = cyclic.normalize_word(w)
+        _emit({"input": str(w), "normal_form": str(nf),
+               "source": nf.source, "target": nf.target, "m": nf.m})
+    elif cmd == ("cyclic", "act"):
+        p = _parse("--point", args.point, jsonio.point_from_json)
+        _emit(jsonio.point_to_json(cyclic.act_on_point(args.word, p)))
+    else:  # element roundtrip
         payload = _parse("--json", args.payload)
         _emit(jsonio.element_round_trip(payload, kind=args.kind))
-        return 0
-
-    raise InvariantViolation(f"unknown module {args.module!r}")
 
 
 if __name__ == "__main__":

@@ -227,11 +227,6 @@ class CyclicPoint:
         return len(self.simplex) - 1
 
 
-def point(m: int, rbar, simplex) -> CyclicPoint:
-    return CyclicPoint(m, Turn(Fraction(rbar), Fraction(m)),
-                       tuple(Fraction(t) for t in simplex))
-
-
 def twist_point(p: CyclicPoint) -> CyclicPoint:
     t = p.simplex
     return CyclicPoint(p.m, p.rbar - t[-1], (t[-1],) + t[:-1])

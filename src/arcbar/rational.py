@@ -30,11 +30,10 @@ class MismatchError(ValueError):
     """Operands live over incompatible moduli, degrees, or groups."""
 
 
-def rat(value: RatLike, den: int = 1) -> Rat:
-    """Coerce ints, 'p/q' strings, or Fractions to an exact rational and
-    divide by `den`; a Fraction with den 1 is returned as it is."""
-    x = value if isinstance(value, Fraction) else Fraction(value)
-    return x if den == 1 else Fraction(x, den)
+def rat(value: RatLike) -> Rat:
+    """Coerce ints, 'p/q' strings, or Fractions to an exact rational; a
+    Fraction is returned as it is."""
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def rat_str(x: Rat) -> str:

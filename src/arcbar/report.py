@@ -2,7 +2,10 @@
 failures in one shape, and the JSON form the command line prints."""
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+from .rational import InvariantViolation, MismatchError
 
 # failures listed per report; a report past the cap still fails
 MAX_LISTED = 50
@@ -25,6 +28,16 @@ class Report:
         if len(self.failures) < MAX_LISTED:
             self.failures.append({"law": law, "witness": witness,
                                   "expected": expected, "got": got})
+
+    @contextmanager
+    def guard(self, law: str, witness: str):
+        """Fold an InvariantViolation or MismatchError raised in the block, a
+        defect met after the inputs were validated, into a failure of `law`
+        whose witness carries the error text."""
+        try:
+            yield
+        except (InvariantViolation, MismatchError) as exc:
+            self.fail(law, f"{witness}: {exc}")
 
     def absorb(self, inner: "Report", prefix: str) -> None:
         """Add an inner report's cases and failures, each law as prefix:law."""

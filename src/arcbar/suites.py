@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import barcalc, circle, cyclic
@@ -34,9 +34,7 @@ class RunConfig:
 
 
 def _report(cfg: RunConfig) -> Report:
-    config = {k: getattr(cfg, k) for k in
-              ("suite", "seed", "trials", "n_max", "q_max", "m_max", "den")}
-    return Report(cfg.suite, config)
+    return Report(cfg.suite, asdict(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -53,9 +51,10 @@ def run_operad_laws(cfg: RunConfig) -> Report:
     # the iso is a bijection
     rng = random.Random(cfg.seed + 2)
     for t in range(cfg.trials):
-        x = SEMIDIRECT_C2.sample(rng, rng.randint(1, 3))
-        if semidirect_iso_inverse(semidirect_iso(x)) != x:
-            rep.fail("semidirect-iso:roundtrip", f"trial {t}")
+        with rep.guard("semidirect-iso:closure", f"trial {t}"):
+            x = SEMIDIRECT_C2.sample(rng, rng.randint(1, 3))
+            if semidirect_iso_inverse(semidirect_iso(x)) != x:
+                rep.fail("semidirect-iso:roundtrip", f"trial {t}")
         rep.cases += 1
     return rep
 
@@ -65,75 +64,78 @@ def run_embed_compose(cfg: RunConfig) -> Report:
     rng = random.Random(cfg.seed)
 
     # frozen worked example
-    outer = circle.system(1, [(Fraction(0), Fraction(1, 8)),
-                              (Fraction(1, 2), Fraction(1, 8))],
-                          [Fraction(1, 2), Fraction(1, 2)], "uEc")
-    got = circle.compose_uec(outer, [((Fraction(0), Fraction(1, 2)),),
-                                     ((Fraction(1, 2), Fraction(1, 4)),)])
-    want = circle.system(1, [(Fraction(0), Fraction(1, 16)),
-                             (Fraction(9, 16), Fraction(1, 32))],
-                         [Fraction(9, 16), Fraction(7, 16)], "uEc")
     rep.cases += 1
-    if got != want:
-        rep.fail("worked-example", "m=1 n=2", str(want), str(got))
+    with rep.guard("worked-example", "m=1 n=2"):
+        outer = circle.system(1, [(Fraction(0), Fraction(1, 8)),
+                                  (Fraction(1, 2), Fraction(1, 8))],
+                              [Fraction(1, 2), Fraction(1, 2)], "uEc")
+        got = circle.compose_uec(outer, [((Fraction(0), Fraction(1, 2)),),
+                                         ((Fraction(1, 2), Fraction(1, 4)),)])
+        want = circle.system(1, [(Fraction(0), Fraction(1, 16)),
+                                 (Fraction(9, 16), Fraction(1, 32))],
+                             [Fraction(9, 16), Fraction(7, 16)], "uEc")
+        if got != want:
+            rep.fail("worked-example", "m=1 n=2", str(want), str(got))
 
     for t in range(cfg.trials):
-        m = rng.randint(1, cfg.m_max)
-        n = rng.randint(1, cfg.n_max)
-        f = circle.sample_uec(rng, m, n)
-        sizes = [rng.randint(0, 2) for _ in range(n)]
-        gs = [sample_ucompact(rng, s) for s in sizes]
-        fg = circle.compose_uec(f, gs)
-        rep.cases += 1
-        if sum(fg.phi) != (Fraction(1, m) if fg.n else 0):
-            rep.fail("gap-sum", f"trial {t}")
-        # unit law
-        units = [((Fraction(0), Fraction(1)),) for _ in range(n)]
-        if circle.compose_uec(f, units) != f:
-            rep.fail("unit", f"trial {t}")
-        # associativity against the interval operad
-        hs = [sample_ucompact(rng, rng.randint(0, 2)) for _ in range(fg.n)]
-        lhs = circle.compose_uec(fg, hs)
-        ghs = [tuple(substitute(g, blk, [1] * len(g)))
-               for g, blk in zip(gs, split_blocks(hs, [len(g) for g in gs]))]
-        rhs = circle.compose_uec(f, ghs)
-        if lhs != rhs:
-            rep.fail("module-associativity", f"trial {t}")
-        # cyclic block compatibility
-        k = rng.randrange(n)
-        alpha = Perm.cycle(n) ** k
-        lhs = circle.compose_uec(circle.cyclic_rotate(f, alpha), gs)
-        inv = alpha.inverse()
-        rotated = [gs[inv(p)] for p in range(n)]
-        sizes_r = [len(g) for g in gs]
-        rho = block_cycle_perm(sizes_r, alpha)
-        rhs = circle.compose_uec(f, rotated)
-        if rho.degree:
-            rhs = circle.cyclic_rotate(rhs, rho)
-        if lhs != rhs:
-            rep.fail("cyclic-compatibility", f"trial {t}")
-        # actions commute
-        g = rng.choice(list(znwrcm_elements(n, m)))
-        theta = Turn(Fraction(rng.randint(0, 7), 8))
-        if circle.circle_act(theta, circle.wreath_act(g, f)) != \
-                circle.wreath_act(g, circle.circle_act(theta, f)):
-            rep.fail("action-commutation", f"trial {t}")
+        with rep.guard("closure", f"trial {t}"):
+            m = rng.randint(1, cfg.m_max)
+            n = rng.randint(1, cfg.n_max)
+            f = circle.sample_uec(rng, m, n)
+            sizes = [rng.randint(0, 2) for _ in range(n)]
+            gs = [sample_ucompact(rng, s) for s in sizes]
+            fg = circle.compose_uec(f, gs)
+            rep.cases += 1
+            if sum(fg.phi) != (Fraction(1, m) if fg.n else 0):
+                rep.fail("gap-sum", f"trial {t}")
+            # unit law
+            units = [((Fraction(0), Fraction(1)),) for _ in range(n)]
+            if circle.compose_uec(f, units) != f:
+                rep.fail("unit", f"trial {t}")
+            # associativity against the interval operad
+            hs = [sample_ucompact(rng, rng.randint(0, 2)) for _ in range(fg.n)]
+            lhs = circle.compose_uec(fg, hs)
+            ghs = [tuple(substitute(g, blk, [1] * len(g)))
+                   for g, blk in zip(gs, split_blocks(hs, [len(g) for g in gs]))]
+            rhs = circle.compose_uec(f, ghs)
+            if lhs != rhs:
+                rep.fail("module-associativity", f"trial {t}")
+            # cyclic block compatibility
+            k = rng.randrange(n)
+            alpha = Perm.cycle(n) ** k
+            lhs = circle.compose_uec(circle.cyclic_rotate(f, alpha), gs)
+            inv = alpha.inverse()
+            rotated = [gs[inv(p)] for p in range(n)]
+            sizes_r = [len(g) for g in gs]
+            rho = block_cycle_perm(sizes_r, alpha)
+            rhs = circle.compose_uec(f, rotated)
+            if rho.degree:
+                rhs = circle.cyclic_rotate(rhs, rho)
+            if lhs != rhs:
+                rep.fail("cyclic-compatibility", f"trial {t}")
+            # actions commute
+            g = rng.choice(list(znwrcm_elements(n, m)))
+            theta = Turn(Fraction(rng.randint(0, 7), 8))
+            if circle.circle_act(theta, circle.wreath_act(g, f)) != \
+                    circle.wreath_act(g, circle.circle_act(theta, f)):
+                rep.fail("action-commutation", f"trial {t}")
     # retraction
     for t in range(cfg.trials // 2):
-        m = rng.randint(1, cfg.m_max)
-        n = rng.randint(1, cfg.n_max + 1)
-        x = circle.sample_ucc(rng, m, n, allow_zero_gaps=True)
-        y = x
-        for _ in range(n):
-            y = circle.retract_step(y)
-        rep.cases += 1
-        if any(p <= 0 for p in y.phi):
-            rep.fail("retract-positivity", f"trial {t}")
-    x = circle.system(1, [(0, 0), (0, 0)], [1, 0], "uCc")
-    y = circle.retract_step(x)
+        with rep.guard("retract-closure", f"trial {t}"):
+            m = rng.randint(1, cfg.m_max)
+            n = rng.randint(1, cfg.n_max + 1)
+            x = circle.sample_ucc(rng, m, n, allow_zero_gaps=True)
+            y = x
+            for _ in range(n):
+                y = circle.retract_step(y)
+            rep.cases += 1
+            if any(p <= 0 for p in y.phi):
+                rep.fail("retract-positivity", f"trial {t}")
     rep.cases += 1
-    if y.phi != (Fraction(1, 2), Fraction(1, 2)):
-        rep.fail("retract-example", "phi=(1,0)", "(1/2, 1/2)", str(y.phi))
+    with rep.guard("retract-example", "phi=(1,0)"):
+        y = circle.retract_step(circle.system(1, [(0, 0), (0, 0)], [1, 0], "uCc"))
+        if y.phi != (Fraction(1, 2), Fraction(1, 2)):
+            rep.fail("retract-example", "phi=(1,0)", "(1/2, 1/2)", str(y.phi))
     return rep
 
 
@@ -141,19 +143,21 @@ def run_cyclic_relations(cfg: RunConfig) -> Report:
     rep = _report(cfg)
     for m in range(1, cfg.m_max + 1):
         for R in barcalc.standard_monoids(m):
-            rep.absorb(barcalc.verify_cyclic_object(R, cfg.q_max, seed=cfg.seed,
-                                                    trials=cfg.trials),
-                       f"cyclic[{R.name},m={m}]")
+            prefix = f"cyclic[{R.name},m={m}]"
+            with rep.guard(f"{prefix}:closure", f"q_max={cfg.q_max}"):
+                rep.absorb(barcalc.verify_cyclic_object(R, cfg.q_max, seed=cfg.seed,
+                                                        trials=cfg.trials), prefix)
     rng = random.Random(cfg.seed)
     for t in range(cfg.trials):
-        m = rng.randint(1, min(cfg.m_max, 3))
-        q = rng.randint(0, min(cfg.q_max, 4))
-        w = cyclic.sample_word(rng, m, q, rng.randint(0, 8))
-        p = cyclic.sample_point(rng, m, q)
-        nf = cyclic.normalize_word(w)
-        rep.cases += 1
-        if cyclic.act_on_point(w, p) != cyclic.act_on_point(nf, p):
-            rep.fail("word-action-consistency", f"trial {t}: {w}")
+        with rep.guard("word-closure", f"trial {t}"):
+            m = rng.randint(1, min(cfg.m_max, 3))
+            q = rng.randint(0, min(cfg.q_max, 4))
+            w = cyclic.sample_word(rng, m, q, rng.randint(0, 8))
+            p = cyclic.sample_point(rng, m, q)
+            nf = cyclic.normalize_word(w)
+            rep.cases += 1
+            if cyclic.act_on_point(w, p) != cyclic.act_on_point(nf, p):
+                rep.fail("word-action-consistency", f"trial {t}: {w}")
     return rep
 
 
@@ -161,24 +165,26 @@ def run_lambda_iso(cfg: RunConfig) -> Report:
     rep = _report(cfg)
     rng = random.Random(cfg.seed)
     for t in range(cfg.trials):
-        m = rng.randint(1, cfg.m_max)
-        q = rng.randint(0, cfg.q_max)
-        p = cyclic.sample_point(rng, m, q)
-        x = cyclic.lambda_to_ucc(p)
-        rep.cases += 1
-        if cyclic.ucc_to_lambda(x) != p:
-            rep.fail("roundtrip", f"trial {t}")
-        if not cyclic.tau_upsilon_intertwined(p):
-            rep.fail("tau-upsilon", f"trial {t}")
-        theta = Turn(Fraction(rng.randint(0, 15), 16))
-        if cyclic.lambda_to_ucc(cyclic.circle_act_point(theta, p)) != \
-                circle.circle_act(theta, x):
-            rep.fail("circle-equivariance", f"trial {t}")
+        with rep.guard("closure", f"trial {t}"):
+            m = rng.randint(1, cfg.m_max)
+            q = rng.randint(0, cfg.q_max)
+            p = cyclic.sample_point(rng, m, q)
+            x = cyclic.lambda_to_ucc(p)
+            rep.cases += 1
+            if cyclic.ucc_to_lambda(x) != p:
+                rep.fail("roundtrip", f"trial {t}")
+            if not cyclic.tau_upsilon_intertwined(p):
+                rep.fail("tau-upsilon", f"trial {t}")
+            theta = Turn(Fraction(rng.randint(0, 15), 16))
+            if cyclic.lambda_to_ucc(cyclic.circle_act_point(theta, p)) != \
+                    circle.circle_act(theta, x):
+                rep.fail("circle-equivariance", f"trial {t}")
     for m in range(1, cfg.m_max + 1):
         Xm = barcalc.pointed_set("x", ["x"], m)
-        rep.absorb(barcalc.check_thm_cycbar_free(Xm, cfg.q_max + 1, m, cfg.den,
-                                                 verify_reps=5),
-                   f"orbit-classes[m={m}]")
+        prefix = f"orbit-classes[m={m}]"
+        with rep.guard(f"{prefix}:closure", f"n_max={cfg.q_max + 1}"):
+            rep.absorb(barcalc.check_thm_cycbar_free(Xm, cfg.q_max + 1, m, cfg.den,
+                                                     verify_reps=5), prefix)
     return rep
 
 
@@ -189,9 +195,10 @@ def run_thm_cycbar(cfg: RunConfig) -> Report:
         # letter swap of order 2 when it divides m, else the trivial action
         sigma = {"x": "y", "y": "x"} if m % 2 == 0 else {}
         X = barcalc.pointed_set("letters", letters, m, sigma)
-        rep.absorb(barcalc.check_thm_cycbar_free(X, cfg.n_max, m, cfg.den,
-                                                 verify_reps=20),
-                   f"thm-cycbar[m={m}]")
+        prefix = f"thm-cycbar[m={m}]"
+        with rep.guard(f"{prefix}:closure", f"n_max={cfg.n_max}"):
+            rep.absorb(barcalc.check_thm_cycbar_free(X, cfg.n_max, m, cfg.den,
+                                                     verify_reps=20), prefix)
     return rep
 
 

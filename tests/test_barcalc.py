@@ -308,6 +308,19 @@ def test_verify_cyclic_object_digest_under_mutated_operator(monkeypatch, name, b
     assert hashlib.sha256(blob).hexdigest() == _MUTATED_DIGESTS[name]
 
 
+def test_verify_cyclic_object_folds_a_raising_operator_per_degree(monkeypatch):
+    # an operator that raises ends its degree with a closure failure carrying
+    # the error, after one case; the next degree still runs
+    def refusing_face(R, i, t):
+        raise InvariantViolation("face refused")
+
+    monkeypatch.setattr(barcalc, "cyclic_face", refusing_face)
+    rep = verify_cyclic_object(pointed_cyclic_monoid("c2", 2, 2), 3)
+    assert rep.failures == [{"law": "closure", "witness": f"q={q}: face refused",
+                             "expected": "", "got": ""} for q in (1, 2, 3)]
+    assert rep.cases == 3
+
+
 def test_cyclic_relations_suite_lists_capped_prefixed_failures(monkeypatch):
     monkeypatch.setattr(barcalc, "cyclic_degeneracy", _bad_degeneracy)
     rep = run_suite(RunConfig("cyclic-relations", seed=1, trials=20, q_max=3,

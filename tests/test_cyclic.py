@@ -8,13 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcbar.circle import circle_act, sample_ucc, wreath_act
-from arcbar.cyclic import (CyclicWord, Gen, _simplicial_rule, act_on_point,
-                           align_ucc, circle_act_point, identity_word,
-                           is_aligned, lambda_to_ucc, normalize_word,
-                           parse_word, point, sample_point, sample_word,
-                           tau_upsilon_intertwined, twist_point, ucc_to_lambda)
+from arcbar.cyclic import (CyclicPoint, CyclicWord, Gen, _simplicial_rule,
+                           act_on_point, align_ucc, circle_act_point,
+                           identity_word, is_aligned, lambda_to_ucc,
+                           normalize_word, parse_word, sample_point,
+                           sample_word, tau_upsilon_intertwined, twist_point,
+                           ucc_to_lambda)
 from arcbar.groups import CyclicElem, WreathElem
 from arcbar.rational import InvariantViolation, MismatchError, Turn
+
+
+def point(m: int, rbar, simplex) -> CyclicPoint:
+    """The point (rbar mod m, simplex) of the degree-q cyclic space."""
+    return CyclicPoint(m, Turn(F(rbar), F(m)), tuple(F(t) for t in simplex))
 
 
 def test_parse_and_str():

@@ -11,11 +11,11 @@ import pytest
 from arcbar.groups import CyclicElem, Perm
 from arcbar.operads import (ASSOC, C2_SIGN, COMPACT, FRAMED_C2, LITTLE_DISKS,
                             SEMIDIRECT_C2, AssocElem, CompactElem, DiskTuple,
-                            FramedTuple, SemidirectElem, SemidirectOperad,
-                            assoc_to_compact, check_operad_laws,
-                            check_operad_map, little_to_compact,
-                            semidirect_iso, semidirect_iso_inverse,
-                            validate_compact)
+                            FramedTuple, LittleDiskOperad, SemidirectElem,
+                            SemidirectOperad, assoc_to_compact,
+                            check_operad_laws, check_operad_map,
+                            little_to_compact, semidirect_iso,
+                            semidirect_iso_inverse, validate_compact)
 from arcbar.rational import InvariantViolation
 from arcbar.report import MAX_LISTED
 
@@ -133,6 +133,28 @@ def test_corrupted_semidirect_caught_by_map_check():
     # every trial runs; the failure list stops at the cap, the verdict does not
     assert rep.cases == 200
     assert len(rep.failures) == MAX_LISTED
+
+
+class _RefusingDisks(LittleDiskOperad):
+    """Little disks whose composition refuses more than one inner element."""
+
+    def compose(self, outer, inners):
+        if len(inners) > 1:
+            raise InvariantViolation("refused")
+        return super().compose(outer, inners)
+
+
+def test_law_harnesses_fold_a_raised_error_into_a_closure_failure():
+    refusing = _RefusingDisks()
+    rep = check_operad_laws(refusing, seed=0, trials=30, allow_nullary=False)
+    closure = [f for f in rep.failures if f["law"] == "closure"]
+    assert closure and rep.cases == 30
+    assert all(re.fullmatch(r"trial \d+: refused", f["witness"]) for f in closure)
+    rep = check_operad_map(little_to_compact, refusing, COMPACT, seed=0,
+                           trials=30, allow_nullary=False)
+    assert {f["law"] for f in rep.failures} == {"map-closure"}
+    assert all(re.fullmatch(r"trial \d+: refused", f["witness"])
+               for f in rep.failures)
 
 
 # -- independent oracle for the compactified composition ---------------------

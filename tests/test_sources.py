@@ -63,10 +63,20 @@ def test_pointed_cm_set_is_the_only_sigma_table():
     assert issubclass(FinCmMonoid, PointedCmSet)
 
 
-def _names_used(node):
-    """How often each name or attribute name is read under `node`."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr
-                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+def _uses(node, module: str, modules) -> Counter:
+    """How often `node`, code of `module`, reads each (module, name): a bare
+    name is one of `module`, `from .M import name` and `M.name` are one of M.
+    An attribute of the same name on some other object is no use."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[module, n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) \
+                and n.value.id in modules:
+            found[n.value.id, n.attr] += 1
+        elif isinstance(n, ast.ImportFrom) and n.module in modules:
+            found.update((n.module, alias.name) for alias in n.names)
+    return found
 
 
 def _defined_names(top):
@@ -82,15 +92,17 @@ def test_every_top_level_definition_is_reached_from_src():
     # outside its own statement refers to is dead or test-only; re-exports
     # in __init__ do not count
     root = Path(arcbar.__file__).parent
-    modules = [ast.parse(path.read_text(), str(path))
-               for path in sorted(root.rglob("*.py")) if path.name != "__init__.py"]
-    uses = sum(map(_names_used, modules), Counter())
+    modules = {path.stem: ast.parse(path.read_text(), str(path))
+               for path in sorted(root.rglob("*.py")) if path.name != "__init__.py"}
+    uses = sum((_uses(tree, name, modules) for name, tree in modules.items()),
+               Counter())
     acceptance = Path(__file__).with_name("test_acceptance.py")
     allowed = {alias.name
                for node in ast.walk(ast.parse(acceptance.read_text()))
                if isinstance(node, ast.ImportFrom) for alias in node.names}
     allowed.add("split_orbit_element")  # ROADMAP item 9 builds on it
-    unreached = [name for tree in modules for top in tree.body
-                 for name in _defined_names(top)
-                 if name not in allowed and uses[name] == _names_used(top)[name]]
+    unreached = [f"{module}.{name}" for module, tree in modules.items()
+                 for top in tree.body for name in _defined_names(top)
+                 if name not in allowed and uses[module, name] ==
+                 _uses(top, module, modules)[module, name]]
     assert not unreached, unreached

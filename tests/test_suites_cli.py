@@ -1,11 +1,15 @@
 """Suite runner determinism, report contracts, JSON round trips, and the
 command line front end."""
+import argparse
 import hashlib
 import json
+from dataclasses import asdict
+from fractions import Fraction as F
 
 import pytest
 
-from arcbar import barcalc, cli, jsonio
+from arcbar import barcalc, circle, cli, cyclic, jsonio
+from arcbar.cyclic import Gen
 from arcbar.rational import InvariantViolation
 from arcbar.report import Report
 from arcbar.suites import SUITES, RunConfig, run_suite
@@ -253,10 +257,12 @@ def test_cli_operad_compose_offers_only_instances_with_a_json_form(capsys):
 
 
 def test_cli_workbench_seed_env(monkeypatch, capsys):
-    monkeypatch.setenv("WORKBENCH_SEED", "7")
-    assert cli.main(["suite", "embed-compose", "--trials", "10"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["config"]["seed"] == 7
+    # read on each call: every report carries the seed of its own call
+    for seed in (7, 9):
+        monkeypatch.setenv("WORKBENCH_SEED", str(seed))
+        assert cli.main(["suite", "embed-compose", "--trials", "10"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["config"]["seed"] == seed
 
 
 _SYSTEM = {"m": 1, "variant": "uEc", "pairs": [{"zeta": "0", "r": "1/8"}],
@@ -383,6 +389,8 @@ _BAD_REQUESTS = {
                  None, id="system-with-perm"),
     pytest.param(["suite", "embed-compose", "--trials", "1"], "seven",
                  id="env-seed-seven"),
+    pytest.param(["cyclic", "normalize", "--word", "t0", "--m", "1", "--q", "0"],
+                 "seven", id="env-seed-seven-not-a-verdict"),
     pytest.param(["suite", "embed-compose", "--trials", "1",
                   "--out", "no-such-dir/report.json"], None, id="out-unwritable"),
     *(pytest.param(["element", "roundtrip", "--json", json.dumps(obj)],
@@ -419,3 +427,83 @@ def test_cli_boundary_errors_name_the_invariant(capsys):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and text in err, err
+
+
+# -- one parser per process, options read per call ----------------------------
+
+def test_cli_parser_is_built_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "workbench":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    assert cli.main(["cyclic", "normalize", "--word", "t0", "--m", "1", "--q", "0"]) == 0
+    assert cli.main(["element", "roundtrip", "--json", "\"2/4\""]) == 0
+    assert cli.main(["operad", "verify", "--instance", "dR", "--trials", "2"]) == 0
+    assert cli.main(["suite", "lambda-iso", "--trials", "2", "--m", "1"]) == 0
+    assert len(built) == 1
+
+
+def test_cli_repeated_calls_do_not_share_appended_options(capsys):
+    two = json.dumps({"m": 1, "variant": "uEc",
+                      "pairs": [{"zeta": "0", "r": "1/8"}, {"zeta": "1/2", "r": "1/8"}],
+                      "phi": ["1/2", "1/2"]})
+    assert cli.main(["embed", "compose", "--outer", two, "--inner", '[["0", "1/2"]]',
+                     "--inner", '[["1/2", "1/4"]]']) == 0
+    assert len(json.loads(capsys.readouterr().out)["pairs"]) == 2
+    assert cli.main(["embed", "compose", "--outer", json.dumps(_SYSTEM),
+                     "--inner", '[["0", "1/2"]]']) == 0
+    want = circle.compose_uec(jsonio.arc_system_from_json(_SYSTEM),
+                              [((F(0), F(1, 2)),)])
+    assert json.loads(capsys.readouterr().out) == jsonio.arc_system_to_json(want)
+
+
+def test_cli_verdict_option_left_out_takes_the_run_config_default(monkeypatch, capsys):
+    monkeypatch.delenv("WORKBENCH_SEED", raising=False)
+    assert cli.main(["embed", "verify", "--trials", "2"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config == {**asdict(RunConfig("embed-compose")), "trials": 2}
+
+
+# -- a defect found after validation is a failing report, not exit 2 ---------
+
+_SIMPLICIAL_RULE = cyclic._simplicial_rule
+
+
+def _rule_keeping_j(a, b):
+    """The word rewrite with d_k s_j, k < j, sent to s_j d_k, not s_{j-1} d_k."""
+    if a.kind == "s" and b.kind == "d" and b.index < a.index:
+        return [Gen("d", b.index, a.degree), Gen("s", a.index, a.degree - 1)]
+    return _SIMPLICIAL_RULE(a, b)
+
+
+def _overlap_when_touching(arcs, period=None):
+    """The overlap scan with <= for <: arcs that only touch overlap."""
+    pairs = list(zip(arcs, arcs[1:]))
+    if period is not None and len(arcs) > 1:
+        c, r, name = arcs[0]
+        pairs.append((arcs[-1], (c + period, r, name)))
+    for (c1, r1, n1), (c2, r2, n2) in pairs:
+        if c2 - c1 <= r1 + r2:
+            return n1, n2
+    return None
+
+
+@pytest.mark.parametrize("module, name, mutant, suite, text", [
+    pytest.param(cyclic, "_simplicial_rule", _rule_keeping_j, "cyclic-relations",
+                 "degeneracy s_3 invalid at degree 2", id="rewrite-keeps-j"),
+    pytest.param(circle, "first_overlap", _overlap_when_touching, "embed-compose",
+                 "overlap with positive radius", id="touching-arcs-overlap"),
+])
+def test_cli_defect_is_a_failing_report(monkeypatch, capsys, module, name,
+                                        mutant, suite, text):
+    monkeypatch.setattr(module, name, mutant)
+    assert cli.main(["suite", suite, "--seed", "9", "--trials", "60"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert set(data) == _REPORT_KEYS and not data["ok"]
+    assert any(text in f["witness"] for f in data["failures"]), data["failures"]
