@@ -35,8 +35,9 @@ def test_rat_strings():
             parse_rat(bad)
 
 
-@pytest.mark.parametrize("value, want", [(3, F(3)), ("-1/2", F(-1, 2))],
-                         ids=["int", "str"])
+@pytest.mark.parametrize("value, want",
+                         [(3, F(3)), ("-1/2", F(-1, 2)), (F(5, 2), F(5, 2))],
+                         ids=["int", "str", "fraction"])
 def test_rat_coerces_ints_and_strings(value, want):
     got = rat(value)
     assert type(got) is F and got == want
