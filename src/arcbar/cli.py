@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -73,7 +72,6 @@ def _finish(rep: Report, out: str | None) -> int:
     return 0 if rep.ok else 1
 
 
-@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="workbench",

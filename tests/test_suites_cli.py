@@ -1,6 +1,5 @@
 """Suite runner determinism, report contracts, JSON round trips, and the
 command line front end."""
-import argparse
 import hashlib
 import json
 from dataclasses import asdict
@@ -429,25 +428,7 @@ def test_cli_boundary_errors_name_the_invariant(capsys):
         assert err.startswith("error: ") and text in err, err
 
 
-# -- one parser per process, options read per call ----------------------------
-
-def test_cli_parser_is_built_once(monkeypatch, capsys):
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        if kwargs.get("prog") == "workbench":
-            built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    cli._parser.cache_clear()
-    assert cli.main(["cyclic", "normalize", "--word", "t0", "--m", "1", "--q", "0"]) == 0
-    assert cli.main(["element", "roundtrip", "--json", "\"2/4\""]) == 0
-    assert cli.main(["operad", "verify", "--instance", "dR", "--trials", "2"]) == 0
-    assert cli.main(["suite", "lambda-iso", "--trials", "2", "--m", "1"]) == 0
-    assert len(built) == 1
-
+# -- repeated calls in one process, options read per call --------------------
 
 def test_cli_repeated_calls_do_not_share_appended_options(capsys):
     two = json.dumps({"m": 1, "variant": "uEc",
