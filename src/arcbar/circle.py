@@ -17,7 +17,8 @@ from typing import Sequence
 from .groups import CyclicElem, Perm, WreathElem, slot_act
 from .operads import substitute
 from .rational import (InvariantViolation, MismatchError, Turn, _draw_rat,
-                       draw_composition, first_overlap, mod_frac, rat)
+                       draw_composition, first_overlap, over_common_denominator,
+                       rat)
 
 Pair = tuple[Turn, Fraction]
 UPairs = Sequence[tuple[Fraction, Fraction]]
@@ -68,39 +69,40 @@ class ArcSystem:
             raise InvariantViolation("one gap per arc")
         if self.n == 0:
             return
+        # every check runs on integer numerators over one denominator D, a
+        # multiple of 2m, on which the quantum 1/m is D/m and its half D/2m;
+        # the error texts quote the Fractions
         q = self.quantum
-        half = q / 2
-        for _, r in self.pairs:
-            if r < 0 or r > half:
-                raise InvariantViolation(f"radius {r} outside [0, {half}]")
-        self._check_images(q)
-        phi = self.phi
-        for p in phi:
-            if p < 0 or p > q:
-                raise InvariantViolation(f"gap {p} outside [0, {q}]")
-        if sum(phi) != q:
-            raise InvariantViolation(
-                f"gap-sum invariant violated: sum(phi) = {sum(phi)} != {q}")
         zs = [z.value for z, _ in self.pairs]
-        for j in range(self.n):
-            lhs = zs[(j + 1) % self.n]
-            rhs = zs[j] + phi[j]
-            # congruent mod 1/m  <=>  m * (lhs - rhs) is an integer
-            if ((lhs - rhs) * self.m).denominator != 1:
-                raise InvariantViolation(
-                    f"center {j + 1} is not center {j} rotated by its gap (mod 1/m)")
-
-    def _check_images(self, q: Fraction) -> None:
+        radii = [r for _, r in self.pairs]
+        phi = self.phi
+        one, nums = over_common_denominator(zs + radii + list(phi), 2 * self.m)
+        n, quantum, half = self.n, one // self.m, one // (2 * self.m)
+        szs, srs, sphi = nums[:n], nums[n:2 * n], nums[2 * n:]
+        for r, sr in zip(radii, srs):
+            if sr < 0 or sr > half:
+                raise InvariantViolation(f"radius {r} outside [0, {q / 2}]")
         # Coincident zero-radius images are admitted, so a pair of zero radii
         # can never fail; a system with no positive radius needs no check.
-        if not any(r for _, r in self.pairs):
-            return
-        pair = first_overlap(sorted((mod_frac(z.value, q), r, i)
-                                    for i, (z, r) in enumerate(self.pairs)), q)
-        if pair:
-            i, j = sorted(pair)
+        if any(srs):
+            pair = first_overlap(sorted((z % quantum, r, i)
+                                        for i, (z, r) in enumerate(zip(szs, srs))),
+                                 quantum)
+            if pair:
+                i, j = sorted(pair)
+                raise InvariantViolation(
+                    f"images of arcs {i} and {j} overlap with positive radius")
+        for p, sp in zip(phi, sphi):
+            if sp < 0 or sp > quantum:
+                raise InvariantViolation(f"gap {p} outside [0, {q}]")
+        if sum(sphi) != quantum:
             raise InvariantViolation(
-                f"images of arcs {i} and {j} overlap with positive radius")
+                f"gap-sum invariant violated: sum(phi) = {sum(phi)} != {q}")
+        for j in range(n):
+            # congruent mod 1/m  <=>  the numerators differ by a multiple of D/m
+            if (szs[(j + 1) % n] - szs[j] - sphi[j]) % quantum:
+                raise InvariantViolation(
+                    f"center {j + 1} is not center {j} rotated by its gap (mod 1/m)")
 
 
 def check_variant(x: ArcSystem, label: str) -> None:
@@ -138,9 +140,10 @@ def compose_uec(outer: ArcSystem, inners: Sequence[UPairs]) -> ArcSystem:
     if len(inners) != outer.n:
         raise MismatchError(
             f"arity mismatch: outer degree {outer.n}, {len(inners)} inner blocks")
-    inners = [tuple((Fraction(v), Fraction(s)) for v, s in blk) for blk in inners]
+    inners = [tuple((rat(v), rat(s)) for v, s in blk) for blk in inners]
     sizes = [len(blk) for blk in inners]
-    pairs = substitute(outer.pairs, inners, [1] * outer.n)
+    pairs = [(Turn(v), s) for v, s in substitute(
+        [(z.value, r) for z, r in outer.pairs], inners, [1] * outer.n)]
 
     def gap_to_next_block(b: int) -> tuple[Fraction, int]:
         """Sum of outer gaps from arc b to the next nonempty block (cyclically)."""

@@ -159,7 +159,7 @@ def _verdict(args, env_seed: int) -> Report:
         inst = INSTANCES[args.instance]
         return check_operad_laws(inst, cfg.seed, cfg.trials,
                                  allow_nullary=inst.allow_nullary)
-    if getattr(args, "monoid", None):
+    if getattr(args, "monoid", None) is not None:
         R = _parse("--monoid", args.monoid, jsonio.monoid_from_json)
         return barcalc.verify_cyclic_object(R, cfg.q_max, seed=cfg.seed,
                                             trials=cfg.trials)
@@ -182,10 +182,10 @@ def _dispatch(args) -> None:
         _emit(jsonio.arc_system_to_json(circle.compose_uec(outer, inners)))
     elif cmd == ("embed", "act"):
         x = _parse("--system", args.system, jsonio.arc_system_from_json)
-        if args.wreath:
+        if args.wreath is not None:
             x = circle.wreath_act(
                 _parse("--wreath", args.wreath, jsonio.wreath_from_json), x)
-        if args.theta:
+        if args.theta is not None:
             theta = jsonio.parse_input(Fraction, args.theta, "--theta")
             x = circle.circle_act(Turn(theta), x)
         _emit(jsonio.arc_system_to_json(x))

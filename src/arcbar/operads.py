@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .groups import CyclicElem, Perm, block_perm, block_sum
-from .rational import InvariantViolation, MismatchError, _draw_rat, first_overlap
+from .rational import (InvariantViolation, MismatchError, _draw_num, first_overlap,
+                       over_common_denominator)
 from .report import Report
 
 Pair = tuple[Fraction, Fraction]
@@ -114,30 +115,38 @@ class CompactElem:
 # validation
 # ---------------------------------------------------------------------------
 
+def _scaled(pairs: Sequence[Pair]) -> tuple[int, list[tuple[int, int]]]:
+    """One common denominator D of the pairs, and each pair's integer
+    numerators over it: the interval checks run on these integers."""
+    one, nums = over_common_denominator([c for pair in pairs for c in pair])
+    return one, list(zip(nums[::2], nums[1::2]))
+
+
 def validate_disk_tuple(d: DiskTuple) -> None:
     """Intervals with positive radii inside [-1, 1] whose open images are
     pairwise disjoint."""
-    for v, r in d.pairs:
-        if not (0 < r <= 1):
+    one, scaled = _scaled(d.pairs)
+    for (v, r), (sv, sr) in zip(d.pairs, scaled):
+        if not (0 < sr <= one):
             raise InvariantViolation(f"radius {r} outside (0, 1]")
-        if abs(v) + r > 1:
+        if abs(sv) + sr > one:
             raise InvariantViolation(f"image of [-1,1] under t -> {v}+{r}t leaves [-1,1]")
-    pair = first_overlap(sorted((v, r, i) for i, (v, r) in enumerate(d.pairs)))
+    pair = first_overlap(sorted((v, r, i) for i, (v, r) in enumerate(scaled)))
     if pair:
         i, j = sorted(pair)
         raise InvariantViolation(f"open images of disks {i} and {j} overlap")
 
 
 def validate_compact(c: CompactElem) -> None:
-    pairs = c.u_pairs
-    for v, r in pairs:
-        if not (0 <= r <= 1):
+    one, scaled = _scaled(c.u_pairs)
+    for (v, r), (sv, sr) in zip(c.u_pairs, scaled):
+        if not (0 <= sr <= one):
             raise InvariantViolation(f"radius {r} outside [0, 1]")
-        if abs(v) + r > 1:
+        if abs(sv) + sr > one:
             raise InvariantViolation(f"image of [-1,1] under t -> {v}+{r}t leaves [-1,1]")
-    if any(a[0] > b[0] for a, b in zip(pairs, pairs[1:])):
+    if any(a[0] > b[0] for a, b in zip(scaled, scaled[1:])):
         raise InvariantViolation("centers not sorted")
-    pair = first_overlap([(v, r, j) for j, (v, r) in enumerate(pairs)])
+    pair = first_overlap([(v, r, j) for j, (v, r) in enumerate(scaled)])
     if pair:
         raise InvariantViolation(
             f"overlapping images at slots {pair[0]},{pair[1]} with positive radius")
@@ -146,9 +155,18 @@ def validate_compact(c: CompactElem) -> None:
 def substitute(outer: Sequence[Pair], blocks: Sequence[Sequence[Pair]],
                signs: Sequence[int]) -> list[Pair]:
     """Composition of interval tuples: block i lands in outer interval
-    (v, r), reflected by the sign e of that slot, as (v + e*r*w, r*s)."""
-    return [(v + (r if e == 1 else -r) * w, r * s)
-            for (v, r), e, block in zip(outer, signs, blocks) for w, s in block]
+    (v, r), reflected by the sign e of that slot, as (v + e*r*w, r*s).
+    With v = a/b and r = c/d, v + e*r*w = (a*d*y + e*c*b*x) / (b*d*y) for
+    w = x/y, so each coordinate is one reduced Fraction of integers."""
+    out = []
+    for (v, r), e, block in zip(outer, signs, blocks):
+        b, c, d = v.denominator, r.numerator, r.denominator
+        ad, ecb, bd = v.numerator * d, e * c * b, b * d
+        for w, s in block:
+            y = w.denominator
+            out.append((Fraction(ad * y + ecb * w.numerator, bd * y),
+                        Fraction(c * s.numerator, d * s.denominator)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -157,20 +175,24 @@ def substitute(outer: Sequence[Pair], blocks: Sequence[Sequence[Pair]],
 
 def _sample_cells(rng: random.Random, arity: int, den: int,
                   allow_zero: bool) -> list[Pair]:
-    """Disjoint intervals, one per cell of an arity-fold split of [-1, 1]."""
+    """Disjoint intervals, one per cell of an arity-fold split of [-1, 1].
+
+    Cell i has center (2i+1-arity)/arity and half-width 1/arity.  A draw p/q
+    in [-1, 1] moves the center by at most half the half-width, to
+    v = ((2i+1-arity)*2q + p) / (2*arity*q); a draw p/q in [0, 1] gives the
+    radius p / (4*arity*q), and 1 / (8*arity) stands in for a zero radius
+    when none is allowed."""
     if arity == 0:
         return []
-    h = Fraction(1, arity)  # half-width of each cell on the [-1,1] scale
     out: list[Pair] = []
     for i in range(arity):
-        center = Fraction(-1) + (2 * i + 1) * h
-        v = center + _draw_rat(rng, den, Fraction(-1), Fraction(1)) * (h / 2)
+        p, q = _draw_num(rng, den, -1, 1)
+        v = Fraction((2 * i + 1 - arity) * 2 * q + p, 2 * arity * q)
         if allow_zero and rng.randrange(3) == 0:
             r = Fraction(0)
         else:
-            r = _draw_rat(rng, den, Fraction(0), Fraction(1)) * (h / 4)
-            if not allow_zero and r == 0:
-                r = h / 8
+            p, q = _draw_num(rng, den, 0, 1)
+            r = Fraction(p, 4 * arity * q) if p or allow_zero else Fraction(1, 8 * arity)
         out.append((v, r))
     if allow_zero and arity >= 2 and rng.randrange(4) == 0:
         # coincident degenerate cluster, exercising the boundary strata

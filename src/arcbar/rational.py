@@ -6,6 +6,7 @@ no radians, no trigonometry.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -104,13 +105,16 @@ class Turn:
         return Turn(-self.value, self.modulus)
 
 
-def first_overlap(arcs: Sequence[tuple[Rat, Rat, object]],
-                  period: Rat | None = None) -> tuple[object, object] | None:
+def first_overlap(arcs: Sequence[tuple[int | Rat, int | Rat, object]],
+                  period: int | Rat | None = None) -> tuple[object, object] | None:
     """Names of the first pair of (center, radius, name) arcs, sorted by
     center, whose images overlap: centers closer than the sum of the radii.
-    Only neighbours are compared: if they are disjoint, the gaps telescope
-    and every pair is.  With a `period` the centers lie in one period of a
-    circle and the wrap-around pair (last, first + period) is one more."""
+    Centers, radii and the period are on any one exact scale, ints or
+    Fractions; the interval and arc validators pass integer numerators over
+    one common denominator.  Only neighbours are compared: if they are
+    disjoint, the gaps telescope and every pair is.  With a `period` the
+    centers lie in one period of a circle and the wrap-around pair
+    (last, first + period) is one more."""
     for (c1, r1, n1), (c2, r2, n2) in zip(arcs, arcs[1:]):
         if c2 - c1 < r1 + r2:
             return n1, n2
@@ -121,21 +125,44 @@ def first_overlap(arcs: Sequence[tuple[Rat, Rat, object]],
     return None
 
 
-def _draw_rat(rng: random.Random, bound_den: int, lo: Rat, hi: Rat) -> Rat:
-    lo, hi = Fraction(lo), Fraction(hi)
+def over_common_denominator(values: Sequence[int | Rat],
+                            *dens: int) -> tuple[int, list[int]]:
+    """The least common denominator D of `values` and of `dens`, and the
+    integer numerator of each value over D.  D is positive, so the
+    numerators order, add and compare as the values do."""
+    fracs = [(x.numerator, x.denominator) for x in values]
+    d = math.lcm(*dens, *[b for _, b in fracs])
+    return d, [a * (d // b) for a, b in fracs]
+
+
+@functools.lru_cache(maxsize=256)
+def _lattice(bound_den: int, ln: int, ld: int, hn: int,
+             hd: int) -> tuple[tuple[int, int, int], ...]:
+    """(q, p_lo, p_hi) for every q <= bound_den with some p/q in
+    [lo, hi] = [ln/ld, hn/hd]: p_lo = ceil(lo*q) and p_hi = floor(hi*q)."""
     if bound_den < 1:
         raise InvariantViolation("denominator bound must be >= 1")
-    if lo >= hi:
+    if ln * hd >= hn * ld:
         raise InvariantViolation("empty range")
-    # floor(hi*q) and ceil(lo*q) by integer floor division
-    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    qs = [q for q in range(1, bound_den + 1) if hn * q // hd >= -(-ln * q // ld)]
-    if not qs:
-        raise InvariantViolation(
-            f"no rational with denominator <= {bound_den} in [{lo}, {hi}]")
-    q = rng.choice(qs)
-    p = rng.randint(-(-ln * q // ld), hn * q // hd)
-    return Fraction(p, q)
+    cells = tuple((q, -(-ln * q // ld), hn * q // hd) for q in range(1, bound_den + 1)
+                  if hn * q // hd >= -(-ln * q // ld))
+    if not cells:
+        raise InvariantViolation(f"no rational with denominator <= {bound_den} in "
+                                 f"[{Fraction(ln, ld)}, {Fraction(hn, hd)}]")
+    return cells
+
+
+def _draw_num(rng: random.Random, bound_den: int, lo: int | Rat,
+              hi: int | Rat) -> tuple[int, int]:
+    """A seeded p/q in [lo, hi] with q <= bound_den, as the integers (p, q):
+    q uniform over the denominators that admit one, then p uniform."""
+    q, p_lo, p_hi = rng.choice(_lattice(bound_den, lo.numerator, lo.denominator,
+                                        hi.numerator, hi.denominator))
+    return rng.randint(p_lo, p_hi), q
+
+
+def _draw_rat(rng: random.Random, bound_den: int, lo: int | Rat, hi: int | Rat) -> Rat:
+    return Fraction(*_draw_num(rng, bound_den, lo, hi))
 
 
 def draw_composition(rng: random.Random, total: Rat, parts: int, den: int,

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arcbar.circle import (ArcSystem, circle_act, compose_uec, cyclic_rotate,
@@ -140,6 +140,20 @@ def test_compose_module_associativity_and_cyclic_compat():
         if rho.degree:
             rhs = cyclic_rotate(rhs, rho)
         assert lhs == rhs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 4), st.integers(1, 12))
+def test_compose_uec_centers_match_the_turn_formula(seed, m, n, den):
+    # the integer substitution on the centers' values, against Turn addition
+    rng = random.Random(seed)
+    x = sample_uec(rng, m, n, den)
+    gs = [sample_ucompact(rng, rng.randint(0, 3), den) for _ in range(n)]
+    got = compose_uec(x, gs)
+    want = tuple((z + r * w, r * s) for (z, r), g in zip(x.pairs, gs) for w, s in g)
+    assert got.pairs == want
+    assert all(type(z) is Turn and type(z.value) is F and type(r) is F
+               for z, r in got.pairs)
 
 
 def compose_psi_cover_oracle(outer, inners):
@@ -342,6 +356,13 @@ def lattice_systems(draw, cells=8):
     return m, list(zip(zs, radii)), phi, variant
 
 
+# An image across 0 mod 1/m that meets only its wrap-around neighbour: the
+# strategy rarely draws one, and only the wrap-around pair of the scan sees it.
+@example((1, [(F(0), F(1, 8)), (F(15, 16), F(0))], (F(15, 16), F(1, 16)), "uEc"))
+@example((2, [(F(0), F(1, 8)), (F(15, 16), F(0))], (F(7, 16), F(1, 16)), "uEc"))
+@example((1, [(F(31, 32), F(1, 16)), (F(1, 16), F(1, 16))], (F(3, 32), F(29, 32)),
+          "uEc"))
+@example((3, [(F(0), F(1, 8)), (F(5, 24), F(0))], (F(5, 24), F(1, 8)), "uEc"))
 @settings(max_examples=500, deadline=None)
 @given(lattice_systems())
 def test_validation_matches_brute_force_oracle(args):

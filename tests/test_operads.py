@@ -7,6 +7,8 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcbar.groups import CyclicElem, Perm
 from arcbar.operads import (ASSOC, C2_SIGN, COMPACT, FRAMED_C2, LITTLE_DISKS,
@@ -15,7 +17,8 @@ from arcbar.operads import (ASSOC, C2_SIGN, COMPACT, FRAMED_C2, LITTLE_DISKS,
                             SemidirectOperad, assoc_to_compact,
                             check_operad_laws, check_operad_map,
                             little_to_compact, semidirect_iso,
-                            semidirect_iso_inverse, validate_compact)
+                            semidirect_iso_inverse, substitute,
+                            validate_compact)
 from arcbar.rational import InvariantViolation
 from arcbar.report import MAX_LISTED
 
@@ -157,6 +160,26 @@ def test_law_harnesses_fold_a_raised_error_into_a_closure_failure():
                for f in rep.failures)
 
 
+# -- the integer substitution against the Fraction formula -------------------
+
+_coords = st.fractions(min_value=-3, max_value=3, max_denominator=60)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(_coords, _coords, st.sampled_from([1, -1]),
+                          st.lists(st.tuples(_coords, _coords), max_size=3)),
+                max_size=4))
+def test_substitute_matches_the_fraction_formula(slots):
+    outer = [(v, r) for v, r, _, _ in slots]
+    signs = [e for _, _, e, _ in slots]
+    blocks = [block for _, _, _, block in slots]
+    got = substitute(outer, blocks, signs)
+    want = [(v + e * r * w, r * s) for (v, r), e, block in zip(outer, signs, blocks)
+            for w, s in block]
+    assert got == want
+    assert all(type(c) is F for pair in got for c in pair)
+
+
 # -- independent oracle for the compactified composition ---------------------
 
 def compact_compose_oracle(outer: CompactElem, inners):
@@ -253,12 +276,17 @@ _CASES = {
     "duplicate-disks": ((F(1, 4), F(1, 4)), (F(1, 4), F(1, 4))),
 }
 _LATTICE = [(F(v, 4), F(r, 4)) for v in range(-4, 5) for r in range(3)]
+# denominators 3, 4, 5 and 15 mixed: the common denominator of a tuple is
+# not the denominator of any one coordinate, and pairs touch across them
+_MIXED = [(v, r) for v in (F(-3, 5), F(-1, 3), F(0), F(2, 15), F(7, 15), F(3, 4))
+          for r in (F(0), F(1, 4), F(1, 3), F(2, 5))]
 
 
 @pytest.mark.parametrize("name", sorted(_VALIDATORS))
 def test_interval_validators_match_pairwise_oracle(name):
     validate, degenerate = _VALIDATORS[name]
-    tuples = [p for n in range(4) for p in itertools.product(_LATTICE, repeat=n)]
+    tuples = [p for lattice in (_LATTICE, _MIXED) for n in range(4)
+              for p in itertools.product(lattice, repeat=n)]
     tuples += list(_CASES.values())
     for pairs in tuples:
         want = _pairwise_accepts(pairs, degenerate)

@@ -428,6 +428,20 @@ def test_cli_boundary_errors_name_the_invariant(capsys):
         assert err.startswith("error: ") and text in err, err
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["bar", "cyclic-verify", "--monoid", ""], id="monoid"),
+    pytest.param(["embed", "act", "--system", json.dumps(_SYSTEM), "--wreath", ""],
+                 id="wreath"),
+    pytest.param(["embed", "act", "--system", json.dumps(_SYSTEM), "--theta", ""],
+                 id="theta"),
+])
+def test_cli_empty_option_value_is_refused(capsys, argv):
+    # an empty value is given, not left out: it is parsed and refused
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and not out.out
+
+
 # -- repeated calls in one process, options read per call --------------------
 
 def test_cli_repeated_calls_do_not_share_appended_options(capsys):
