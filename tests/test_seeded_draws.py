@@ -77,9 +77,8 @@ def _draws():
             a = inst.sample(rng, rng.randint(1, 3))
             bs = [inst.sample(rng, rng.randint(lo, 3)) for _ in range(a.arity)]
             rows.append([_canon(a), _canon(bs), _outcome(lambda: inst.compose(a, bs))])
-            pairs = getattr(a, "pairs", None) or getattr(a, "u_pairs", None)
-            if pairs and name in ("dR", "dc"):
-                pairs = tuple((p[0], p[1]) for p in pairs)
+            if name in ("dR", "dc"):
+                pairs = a.pairs if name == "dR" else a.u_pairs
                 make = DiskTuple if name == "dR" else (
                     lambda ps: CompactElem(ps, a.perm))
                 rows.append([_outcome(lambda: inst.validate(make(ps)) or "ok")
