@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .groups import CyclicElem, Perm, WreathElem, slot_act
-from .operads import substitute
+from .operads import lattice, pair_view, substitute
 from .rational import (InvariantViolation, MismatchError, Turn, _draw_rat,
                        draw_composition, first_overlap, over_common_denominator,
                        rat)
@@ -142,8 +142,9 @@ def compose_uec(outer: ArcSystem, inners: Sequence[UPairs]) -> ArcSystem:
             f"arity mismatch: outer degree {outer.n}, {len(inners)} inner blocks")
     inners = [tuple((rat(v), rat(s)) for v, s in blk) for blk in inners]
     sizes = [len(blk) for blk in inners]
-    pairs = [(Turn(v), s) for v, s in substitute(
-        [(z.value, r) for z, r in outer.pairs], inners, [1] * outer.n)]
+    lat = substitute(lattice((z.value, r) for z, r in outer.pairs),
+                     [lattice(blk) for blk in inners], [1] * outer.n)
+    pairs = [(Turn(v), s) for v, s in pair_view(*lat)]
 
     def gap_to_next_block(b: int) -> tuple[Fraction, int]:
         """Sum of outer gaps from arc b to the next nonempty block (cyclically)."""

@@ -4,6 +4,7 @@ values.  Parsing validates every invariant and names the violated one."""
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Callable, TypeVar
 
@@ -170,8 +171,8 @@ _OPERAD_TO_JSON: dict[type, Callable[[Any], dict]] = {
     AssocElem: lambda x: {"instance": "assoc", "perm": perm_to_json(x.perm)},
     DiskTuple: lambda x: {"instance": "dR", "pairs": _intervals_out(x.pairs)},
     FramedTuple: lambda x: {"instance": f"framed-c{x.group.order}",
-                            "pairs": [{**p, "h": _member_to_json(h)} for p, (_, _, h)
-                                      in zip(_intervals_out(x.pairs), x.pairs)]},
+                            "pairs": [{**p, "h": _member_to_json(h)} for p, h
+                                      in zip(_intervals_out(x.pairs), x.members)]},
     CompactElem: lambda x: {"instance": "dc", "pairs": _intervals_out(x.u_pairs),
                             "perm": perm_to_json(x.perm)},
 }
@@ -198,15 +199,16 @@ def operad_elem_from_json(obj: dict, instance: str | None = None):
         return AssocElem(perm_from_json(_need(obj, "perm")))
     if inst == "dR":
         operad = LITTLE_DISKS
-        x = DiskTuple(tuple(map(_interval_in, _need(obj, "pairs"))))
-    elif inst.startswith("framed-c"):
-        operad = FramedOperad(SignedGroup(int(inst.removeprefix("framed-c"))))
-        x = FramedTuple(tuple((*_interval_in(p), _member_from_json(_need(p, "h")))
-                              for p in _need(obj, "pairs")), operad.group)
+        x = DiskTuple.from_pairs(map(_interval_in, _need(obj, "pairs")))
+    elif framed := re.fullmatch(r"framed-c([1-9][0-9]*)", inst):
+        # the order is a canonical positive decimal, as the instance name prints it
+        operad = FramedOperad(SignedGroup(int(framed[1])))
+        x = FramedTuple.from_pairs([(*_interval_in(p), _member_from_json(_need(p, "h")))
+                                    for p in _need(obj, "pairs")], operad.group)
     elif inst == "dc":
         operad = COMPACT
-        x = CompactElem(tuple(map(_interval_in, _need(obj, "pairs"))),
-                        perm_from_json(_need(obj, "perm")))
+        x = CompactElem.from_pairs(map(_interval_in, _need(obj, "pairs")),
+                                   perm_from_json(_need(obj, "perm")))
     else:
         raise SchemaError(f"unknown operad instance {inst!r}")
     operad.validate(x)
@@ -216,7 +218,7 @@ def operad_elem_from_json(obj: dict, instance: str | None = None):
 def interval_block_from_json(obj) -> tuple:
     """An inner block of `compose_uec`: a compactified-interval element."""
     block = tuple((parse_rat(v), parse_rat(s)) for v, s in obj)
-    COMPACT.validate(CompactElem(block, Perm.identity(len(block))))
+    COMPACT.validate(CompactElem.from_pairs(block, Perm.identity(len(block))))
     return block
 
 

@@ -3,14 +3,18 @@ framed little disks for a sign-acting group, the compactified operad, and the
 semidirect-product presentation, together with a seeded law-checking harness.
 
 One-dimensional disks throughout: a disk is the affine map t -> v + r*rho(h)*t
-on [-1, 1], stored by its parameters.
+on [-1, 1], stored by its parameters.  An interval tuple is stored on one
+integer lattice (below), so composing, comparing and validating elements
+builds no Fraction; the Fraction pairs are a view for the boundary.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 from .groups import CyclicElem, Perm, block_perm, block_sum
 from .rational import (InvariantViolation, MismatchError, _draw_num, first_overlap,
@@ -44,6 +48,38 @@ C2_SIGN = SignedGroup(2)
 
 
 # ---------------------------------------------------------------------------
+# the interval lattice
+# ---------------------------------------------------------------------------
+
+# An interval tuple is stored as one positive denominator D and the integer
+# numerators (v, r) of each pair over D, reduced so that the gcd of D and
+# every numerator is 1.  D is then the least common denominator of the
+# coordinates, so two tuples are equal exactly when their lattices are.
+Nums = tuple[tuple[int, int], ...]
+Lattice = tuple[int, Nums]
+
+
+def reduced(den: int, nums: Sequence[tuple[int, int]]) -> Lattice:
+    """(den, nums) divided by the gcd of den and every numerator."""
+    g = math.gcd(den, *chain.from_iterable(nums))
+    if g == 1:
+        return den, tuple(nums)
+    return den // g, tuple([(v // g, r // g) for v, r in nums])
+
+
+def lattice(pairs: Iterable[Pair]) -> Lattice:
+    """The lattice of rational pairs: their least common denominator, which
+    needs no reduction, and each pair's numerators over it."""
+    den, nums = over_common_denominator([c for pair in pairs for c in pair])
+    return den, tuple(zip(nums[::2], nums[1::2]))
+
+
+def pair_view(den: int, nums: Nums) -> tuple[Pair, ...]:
+    """The Fraction pairs of a lattice."""
+    return tuple((Fraction(v, den), Fraction(r, den)) for v, r in nums)
+
+
+# ---------------------------------------------------------------------------
 # element types
 # ---------------------------------------------------------------------------
 
@@ -60,25 +96,49 @@ class AssocElem:
 
 @dataclass(frozen=True)
 class DiskTuple:
-    """Little 1-disk configuration: pairwise disjoint intervals in [-1, 1]."""
+    """Little 1-disk configuration: pairwise disjoint intervals in [-1, 1],
+    stored as the lattice (den, nums); `pairs` is the Fraction view."""
 
-    pairs: tuple[Pair, ...]
+    den: int
+    nums: Nums
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[Pair]) -> "DiskTuple":
+        return cls(*lattice(pairs))
+
+    @property
+    def pairs(self) -> tuple[Pair, ...]:
+        return pair_view(self.den, self.nums)
 
     @property
     def arity(self) -> int:
-        return len(self.pairs)
+        return len(self.nums)
 
 
 @dataclass(frozen=True)
 class FramedTuple:
-    """Framed little disks: intervals decorated by sign-acting group elements."""
+    """Framed little disks: intervals on the lattice (den, nums) decorated by
+    sign-acting group elements; `pairs` is the (v, r, h) Fraction view."""
 
-    pairs: tuple[tuple[Fraction, Fraction, CyclicElem], ...]
+    den: int
+    nums: Nums
+    members: tuple[CyclicElem, ...]
     group: SignedGroup
+
+    @classmethod
+    def from_pairs(cls, triples: Sequence[tuple[Fraction, Fraction, CyclicElem]],
+                   group: SignedGroup) -> "FramedTuple":
+        return cls(*lattice((v, r) for v, r, _ in triples),
+                   tuple(h for _, _, h in triples), group)
+
+    @property
+    def pairs(self) -> tuple[tuple[Fraction, Fraction, CyclicElem], ...]:
+        return tuple((v, r, h) for (v, r), h in
+                     zip(pair_view(self.den, self.nums), self.members))
 
     @property
     def arity(self) -> int:
-        return len(self.pairs)
+        return len(self.nums)
 
 
 @dataclass(frozen=True)
@@ -97,76 +157,82 @@ class SemidirectElem:
 @dataclass(frozen=True)
 class CompactElem:
     """Compactified operad element: a sorted, possibly degenerate interval
-    tuple together with a permutation recording the original labelling."""
+    tuple on the lattice (den, nums), whose Fraction view is `u_pairs`,
+    together with a permutation recording the original labelling."""
 
-    u_pairs: tuple[Pair, ...]
+    den: int
+    nums: Nums
     perm: Perm
 
     def __post_init__(self) -> None:
-        if len(self.u_pairs) != self.perm.degree:
+        if len(self.nums) != self.perm.degree:
             raise MismatchError("u-part length and permutation degree differ")
+
+    @classmethod
+    def from_pairs(cls, u_pairs: Iterable[Pair], perm: Perm) -> "CompactElem":
+        return cls(*lattice(u_pairs), perm)
+
+    @property
+    def u_pairs(self) -> tuple[Pair, ...]:
+        return pair_view(self.den, self.nums)
 
     @property
     def arity(self) -> int:
-        return len(self.u_pairs)
+        return len(self.nums)
 
 
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
 
-def _scaled(pairs: Sequence[Pair]) -> tuple[int, list[tuple[int, int]]]:
-    """One common denominator D of the pairs, and each pair's integer
-    numerators over it: the interval checks run on these integers."""
-    one, nums = over_common_denominator([c for pair in pairs for c in pair])
-    return one, list(zip(nums[::2], nums[1::2]))
-
-
-def validate_disk_tuple(d: DiskTuple) -> None:
+def validate_disk_tuple(d: DiskTuple | FramedTuple) -> None:
     """Intervals with positive radii inside [-1, 1] whose open images are
-    pairwise disjoint."""
-    one, scaled = _scaled(d.pairs)
-    for (v, r), (sv, sr) in zip(d.pairs, scaled):
-        if not (0 < sr <= one):
-            raise InvariantViolation(f"radius {r} outside (0, 1]")
-        if abs(sv) + sr > one:
-            raise InvariantViolation(f"image of [-1,1] under t -> {v}+{r}t leaves [-1,1]")
-    pair = first_overlap(sorted((v, r, i) for i, (v, r) in enumerate(scaled)))
+    pairwise disjoint, checked on the numerators over d.den; the error
+    texts quote the Fractions."""
+    one = d.den
+    for v, r in d.nums:
+        if not (0 < r <= one):
+            raise InvariantViolation(f"radius {Fraction(r, one)} outside (0, 1]")
+        if abs(v) + r > one:
+            raise InvariantViolation(f"image of [-1,1] under t -> {Fraction(v, one)}+"
+                                     f"{Fraction(r, one)}t leaves [-1,1]")
+    pair = first_overlap(sorted((v, r, i) for i, (v, r) in enumerate(d.nums)))
     if pair:
         i, j = sorted(pair)
         raise InvariantViolation(f"open images of disks {i} and {j} overlap")
 
 
 def validate_compact(c: CompactElem) -> None:
-    one, scaled = _scaled(c.u_pairs)
-    for (v, r), (sv, sr) in zip(c.u_pairs, scaled):
-        if not (0 <= sr <= one):
-            raise InvariantViolation(f"radius {r} outside [0, 1]")
-        if abs(sv) + sr > one:
-            raise InvariantViolation(f"image of [-1,1] under t -> {v}+{r}t leaves [-1,1]")
-    if any(a[0] > b[0] for a, b in zip(scaled, scaled[1:])):
+    one, nums = c.den, c.nums
+    for v, r in nums:
+        if not (0 <= r <= one):
+            raise InvariantViolation(f"radius {Fraction(r, one)} outside [0, 1]")
+        if abs(v) + r > one:
+            raise InvariantViolation(f"image of [-1,1] under t -> {Fraction(v, one)}+"
+                                     f"{Fraction(r, one)}t leaves [-1,1]")
+    if any(a[0] > b[0] for a, b in zip(nums, nums[1:])):
         raise InvariantViolation("centers not sorted")
-    pair = first_overlap([(v, r, j) for j, (v, r) in enumerate(scaled)])
+    pair = first_overlap([(v, r, j) for j, (v, r) in enumerate(nums)])
     if pair:
         raise InvariantViolation(
             f"overlapping images at slots {pair[0]},{pair[1]} with positive radius")
 
 
-def substitute(outer: Sequence[Pair], blocks: Sequence[Sequence[Pair]],
-               signs: Sequence[int]) -> list[Pair]:
-    """Composition of interval tuples: block i lands in outer interval
-    (v, r), reflected by the sign e of that slot, as (v + e*r*w, r*s).
-    With v = a/b and r = c/d, v + e*r*w = (a*d*y + e*c*b*x) / (b*d*y) for
-    w = x/y, so each coordinate is one reduced Fraction of integers."""
+def substitute(outer: Lattice, blocks: Sequence[Lattice],
+               signs: Sequence[int]) -> Lattice:
+    """Composition of interval tuples on the lattice: block i lands in outer
+    interval (v, r), reflected by the sign e of that slot, as
+    (v + e*r*w, r*s).  With the outer pair (a, c) over D1, a block pair
+    (w, s) over D2 and L the lcm of the blocks' denominators, that is
+    (a*L + e*c*w*L/D2, c*s*L/D2) over D1*L; one gcd reduces the composite."""
+    den, nums = outer
+    lcm = math.lcm(*[d for d, _ in blocks])
     out = []
-    for (v, r), e, block in zip(outer, signs, blocks):
-        b, c, d = v.denominator, r.numerator, r.denominator
-        ad, ecb, bd = v.numerator * d, e * c * b, b * d
-        for w, s in block:
-            y = w.denominator
-            out.append((Fraction(ad * y + ecb * w.numerator, bd * y),
-                        Fraction(c * s.numerator, d * s.denominator)))
-    return out
+    for (a, c), e, (d, block) in zip(nums, signs, blocks):
+        k = c * (lcm // d)
+        al, ek = a * lcm, e * k
+        out.extend([(al + ek * w, k * s) for w, s in block])
+    return reduced(den * lcm, out)
 
 
 # ---------------------------------------------------------------------------
@@ -174,32 +240,34 @@ def substitute(outer: Sequence[Pair], blocks: Sequence[Sequence[Pair]],
 # ---------------------------------------------------------------------------
 
 def _sample_cells(rng: random.Random, arity: int, den: int,
-                  allow_zero: bool) -> list[Pair]:
+                  allow_zero: bool) -> Lattice:
     """Disjoint intervals, one per cell of an arity-fold split of [-1, 1].
 
     Cell i has center (2i+1-arity)/arity and half-width 1/arity.  A draw p/q
     in [-1, 1] moves the center by at most half the half-width, to
     v = ((2i+1-arity)*2q + p) / (2*arity*q); a draw p/q in [0, 1] gives the
     radius p / (4*arity*q), and 1 / (8*arity) stands in for a zero radius
-    when none is allowed."""
+    when none is allowed.  Every coordinate is written over
+    8*arity*lcm(1..den), a multiple of each of these denominators, and one
+    gcd reduces the lattice."""
     if arity == 0:
-        return []
-    out: list[Pair] = []
+        return 1, ()
+    m = math.lcm(*range(1, den + 1))
+    out: list[tuple[int, int]] = []
     for i in range(arity):
         p, q = _draw_num(rng, den, -1, 1)
-        v = Fraction((2 * i + 1 - arity) * 2 * q + p, 2 * arity * q)
+        v = ((2 * i + 1 - arity) * 2 * q + p) * (4 * m // q)
         if allow_zero and rng.randrange(3) == 0:
-            r = Fraction(0)
+            r = 0
         else:
             p, q = _draw_num(rng, den, 0, 1)
-            r = Fraction(p, 4 * arity * q) if p or allow_zero else Fraction(1, 8 * arity)
+            r = p * (2 * m // q) if p or allow_zero else m
         out.append((v, r))
     if allow_zero and arity >= 2 and rng.randrange(4) == 0:
         # coincident degenerate cluster, exercising the boundary strata
         i = rng.randrange(arity - 1)
-        out[i] = (out[i][0], Fraction(0))
-        out[i + 1] = (out[i][0], Fraction(0))
-    return out
+        out[i] = out[i + 1] = (out[i][0], 0)
+    return reduced(8 * arity * m, out)
 
 
 def _rand_perm(rng: random.Random, n: int) -> Perm:
@@ -241,24 +309,24 @@ class LittleDiskOperad:
     allow_nullary = False
 
     def unit(self) -> DiskTuple:
-        return DiskTuple(((Fraction(0), Fraction(1)),))
+        return DiskTuple(1, ((0, 1),))
 
     def sample(self, rng: random.Random, arity: int) -> DiskTuple:
-        pairs = _sample_cells(rng, arity, den=8, allow_zero=False)
-        full = _rand_perm(rng, arity).act(tuple(pairs))
-        return DiskTuple(full)
+        den, nums = _sample_cells(rng, arity, den=8, allow_zero=False)
+        return DiskTuple(den, _rand_perm(rng, arity).act(nums))
 
     def validate(self, x: DiskTuple) -> None:
         validate_disk_tuple(x)
 
     def act(self, x: DiskTuple, sigma: Perm) -> DiskTuple:
-        return DiskTuple(sigma.act(x.pairs))
+        return DiskTuple(x.den, sigma.act(x.nums))
 
     def compose(self, outer: DiskTuple, inners: Sequence[DiskTuple]) -> DiskTuple:
         if len(inners) != outer.arity:
             raise MismatchError("arity mismatch")
-        out = DiskTuple(tuple(substitute(outer.pairs, [b.pairs for b in inners],
-                                         [1] * outer.arity)))
+        out = DiskTuple(*substitute((outer.den, outer.nums),
+                                    [(b.den, b.nums) for b in inners],
+                                    [1] * outer.arity))
         self.validate(out)
         return out
 
@@ -273,35 +341,32 @@ class FramedOperad:
         self.name = f"framed-c{group.order}"
 
     def unit(self) -> FramedTuple:
-        return FramedTuple(((Fraction(0), Fraction(1), self.group.identity()),),
-                           self.group)
+        return FramedTuple(1, ((0, 1),), (self.group.identity(),), self.group)
 
     def sample(self, rng: random.Random, arity: int) -> FramedTuple:
-        pairs = _sample_cells(rng, arity, den=8, allow_zero=False)
+        den, nums = _sample_cells(rng, arity, den=8, allow_zero=False)
         hs = [CyclicElem(self.group.order, rng.randrange(self.group.order))
               for _ in range(arity)]
-        full = _rand_perm(rng, arity).act(
-            tuple((v, r, h) for (v, r), h in zip(pairs, hs)))
-        return FramedTuple(full, self.group)
+        sigma = _rand_perm(rng, arity)
+        return FramedTuple(den, sigma.act(nums), sigma.act(hs), self.group)
 
     def validate(self, x: FramedTuple) -> None:
-        validate_disk_tuple(DiskTuple(tuple((v, r) for v, r, _ in x.pairs)))
-        if any(h.order != x.group.order for _, _, h in x.pairs):
+        validate_disk_tuple(x)
+        if any(h.order != x.group.order for h in x.members):
             raise MismatchError("group member from a different group")
 
     def act(self, x: FramedTuple, sigma: Perm) -> FramedTuple:
-        return FramedTuple(sigma.act(x.pairs), x.group)
+        return FramedTuple(x.den, sigma.act(x.nums), sigma.act(x.members), x.group)
 
     def compose(self, outer: FramedTuple, inners: Sequence[FramedTuple]) -> FramedTuple:
         if len(inners) != outer.arity:
             raise MismatchError("arity mismatch")
-        intervals = substitute([(v, r) for v, r, _ in outer.pairs],
-                               [[(w, s) for w, s, _ in b.pairs] for b in inners],
-                               [self.group.sign(h) for _, _, h in outer.pairs])
-        members = [h.compose(g) for (_, _, h), b in zip(outer.pairs, inners)
-                   for _, _, g in b.pairs]
-        out = FramedTuple(tuple((v, r, g) for (v, r), g in zip(intervals, members)),
-                          self.group)
+        den, nums = substitute((outer.den, outer.nums),
+                               [(b.den, b.nums) for b in inners],
+                               [self.group.sign(h) for h in outer.members])
+        members = tuple(h.compose(g) for h, b in zip(outer.members, inners)
+                        for g in b.members)
+        out = FramedTuple(den, nums, members, self.group)
         self.validate(out)
         return out
 
@@ -333,8 +398,9 @@ class SemidirectOperad:
                               sigma.act(x.members), x.group)
 
     def _conjugate(self, h: CyclicElem, d: DiskTuple) -> DiskTuple:
-        sign = self.group.sign(h)
-        return DiskTuple(tuple((sign * v, r) for v, r in d.pairs))
+        if self.group.sign(h) == 1:
+            return d
+        return DiskTuple(d.den, tuple((-v, r) for v, r in d.nums))
 
     def compose(self, outer: SemidirectElem,
                 inners: Sequence[SemidirectElem]) -> SemidirectElem:
@@ -351,7 +417,7 @@ class SemidirectOperad:
 def sample_ucompact(rng: random.Random, arity: int, den: int = 8) -> tuple[Pair, ...]:
     """A sorted, possibly degenerate tuple: a point of the non-symmetric
     compactified operad."""
-    return tuple(_sample_cells(rng, arity, den, allow_zero=True))
+    return pair_view(*_sample_cells(rng, arity, den, allow_zero=True))
 
 
 class CompactOperad:
@@ -359,28 +425,29 @@ class CompactOperad:
     allow_nullary = True
 
     def unit(self) -> CompactElem:
-        return CompactElem(((Fraction(0), Fraction(1)),), Perm.identity(1))
+        return CompactElem(1, ((0, 1),), Perm.identity(1))
 
     def sample(self, rng: random.Random, arity: int) -> CompactElem:
-        return CompactElem(sample_ucompact(rng, arity), _rand_perm(rng, arity))
+        return CompactElem(*_sample_cells(rng, arity, 8, allow_zero=True),
+                           _rand_perm(rng, arity))
 
     def validate(self, x: CompactElem) -> None:
         validate_compact(x)
 
     def act(self, x: CompactElem, sigma: Perm) -> CompactElem:
-        return CompactElem(x.u_pairs, x.perm.compose(sigma))
+        return CompactElem(x.den, x.nums, x.perm.compose(sigma))
 
     def compose(self, outer: CompactElem, inners: Sequence[CompactElem]) -> CompactElem:
         if len(inners) != outer.arity:
             raise MismatchError("arity mismatch")
         sizes = [b.arity for b in inners]
         inv = outer.perm.inverse()
-        u = substitute(outer.u_pairs,
-                       [inners[inv(p)].u_pairs for p in range(outer.arity)],
-                       [1] * outer.arity)
+        blocks = [inners[inv(p)] for p in range(outer.arity)]
+        den, nums = substitute((outer.den, outer.nums),
+                               [(b.den, b.nums) for b in blocks], [1] * outer.arity)
         perm = block_perm(outer.perm, sizes).compose(
             block_sum([b.perm for b in inners]))
-        out = CompactElem(tuple(u), perm)
+        out = CompactElem(den, nums, perm)
         self.validate(out)
         return out
 
@@ -406,28 +473,26 @@ INSTANCES = {
 
 def assoc_to_compact(x: AssocElem) -> CompactElem:
     """sigma goes to the all-degenerate configuration ((0,0), ..., (0,0), sigma)."""
-    zero = (Fraction(0), Fraction(0))
-    return CompactElem(tuple(zero for _ in range(x.arity)), x.perm)
+    return CompactElem(1, ((0, 0),) * x.arity, x.perm)
 
 
 def little_to_compact(x: DiskTuple) -> CompactElem:
-    """Split an unordered configuration into its sorted part and a permutation."""
-    order = sorted(range(x.arity), key=lambda i: x.pairs[i])
-    u = tuple(x.pairs[i] for i in order)
+    """Split an unordered configuration into its sorted part and a permutation;
+    over one denominator the numerators sort as the pairs do."""
+    order = sorted(range(x.arity), key=x.nums.__getitem__)
+    u = tuple(x.nums[i] for i in order)
     # x = u . sigma with (u . sigma)[i] = u[sigma(i)]
     sigma = Perm(tuple(order)).inverse()
-    return CompactElem(u, sigma)
+    return CompactElem(x.den, u, sigma)
 
 
 def semidirect_iso(x: SemidirectElem) -> FramedTuple:
     """(lambda_i, h_i) -> (lambda_i o h_i, h_i): the n-ary comparison map."""
-    pairs = tuple((v, r, h) for (v, r), h in zip(x.disk.pairs, x.members))
-    return FramedTuple(pairs, x.group)
+    return FramedTuple(x.disk.den, x.disk.nums, x.members, x.group)
 
 
 def semidirect_iso_inverse(x: FramedTuple) -> SemidirectElem:
-    disk = DiskTuple(tuple((v, r) for v, r, _ in x.pairs))
-    return SemidirectElem(disk, tuple(h for _, _, h in x.pairs), x.group)
+    return SemidirectElem(DiskTuple(x.den, x.nums), x.members, x.group)
 
 
 # named structure maps: tag -> (function, source instance, target instance);
@@ -496,7 +561,7 @@ def check_operad_laws(instance, seed: int, trials: int,
             taus = [_rand_perm(rng, b.arity) for b in bs]
             lhs = instance.compose(a, [instance.act(b, tau)
                                        for b, tau in zip(bs, taus)])
-            rhs = instance.act(instance.compose(a, bs), block_sum(taus))
+            rhs = instance.act(ab, block_sum(taus))
             if lhs != rhs:
                 rep.fail("equivariance-inner", f"trial {t}")
     return rep

@@ -11,8 +11,8 @@ from . import barcalc, circle, cyclic
 from .groups import Perm, block_cycle_perm, znwrcm_elements
 from .operads import (ASSOC, COMPACT, FRAMED_C2, LITTLE_DISKS, OPERAD_MAPS,
                       SEMIDIRECT_C2, check_operad_laws, check_operad_map,
-                      sample_ucompact, semidirect_iso, semidirect_iso_inverse,
-                      split_blocks, substitute)
+                      lattice, pair_view, sample_ucompact, semidirect_iso,
+                      semidirect_iso_inverse, split_blocks, substitute)
 from .rational import InvariantViolation, Turn
 from .report import Report
 
@@ -95,7 +95,8 @@ def run_embed_compose(cfg: RunConfig) -> Report:
             # associativity against the interval operad
             hs = [sample_ucompact(rng, rng.randint(0, 2)) for _ in range(fg.n)]
             lhs = circle.compose_uec(fg, hs)
-            ghs = [tuple(substitute(g, blk, [1] * len(g)))
+            ghs = [pair_view(*substitute(lattice(g), [lattice(h) for h in blk],
+                                         [1] * len(g)))
                    for g, blk in zip(gs, split_blocks(hs, [len(g) for g in gs]))]
             rhs = circle.compose_uec(f, ghs)
             if lhs != rhs:

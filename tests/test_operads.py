@@ -2,12 +2,13 @@
 structure maps, and an independent full-tuple oracle for the compactified
 composition."""
 import itertools
+import math
 import random
 import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arcbar.groups import CyclicElem, Perm
@@ -15,8 +16,8 @@ from arcbar.operads import (ASSOC, C2_SIGN, COMPACT, FRAMED_C2, LITTLE_DISKS,
                             SEMIDIRECT_C2, AssocElem, CompactElem, DiskTuple,
                             FramedTuple, LittleDiskOperad, SemidirectElem,
                             SemidirectOperad, assoc_to_compact,
-                            check_operad_laws, check_operad_map,
-                            little_to_compact, semidirect_iso,
+                            check_operad_laws, check_operad_map, lattice,
+                            little_to_compact, pair_view, semidirect_iso,
                             semidirect_iso_inverse, substitute,
                             validate_compact)
 from arcbar.rational import InvariantViolation
@@ -24,19 +25,19 @@ from arcbar.report import MAX_LISTED
 
 
 def test_little_disk_composition_example():
-    outer = DiskTuple(((F(0), F(1, 2)),))
-    inner = DiskTuple(((F(1, 2), F(1, 4)),))
+    outer = DiskTuple.from_pairs(((F(0), F(1, 2)),))
+    inner = DiskTuple.from_pairs(((F(1, 2), F(1, 4)),))
     got = LITTLE_DISKS.compose(outer, [inner])
-    assert got == DiskTuple(((F(1, 4), F(1, 8)),))
+    assert got == DiskTuple.from_pairs(((F(1, 4), F(1, 8)),))
 
 
 def test_framed_composition_example():
     minus = CyclicElem(2, 1)
     plus = CyclicElem(2, 0)
-    outer = FramedTuple(((F(0), F(1, 2), minus),), C2_SIGN)
-    inner = FramedTuple(((F(1, 2), F(1, 4), minus),), C2_SIGN)
+    outer = FramedTuple.from_pairs(((F(0), F(1, 2), minus),), C2_SIGN)
+    inner = FramedTuple.from_pairs(((F(1, 2), F(1, 4), minus),), C2_SIGN)
     got = FRAMED_C2.compose(outer, [inner])
-    assert got == FramedTuple(((F(-1, 4), F(1, 8), plus),), C2_SIGN)
+    assert got == FramedTuple.from_pairs(((F(-1, 4), F(1, 8), plus),), C2_SIGN)
 
 
 def test_unit_laws_explicit():
@@ -47,20 +48,19 @@ def test_unit_laws_explicit():
 
 
 def test_compact_invariants():
-    validate_compact(CompactElem(((F(0), F(0)), (F(0), F(0))), Perm.identity(2)))
+    def compact(*pairs):
+        return CompactElem.from_pairs(pairs, Perm.identity(len(pairs)))
+
+    validate_compact(compact((F(0), F(0)), (F(0), F(0))))
     with pytest.raises(InvariantViolation):
-        validate_compact(CompactElem(((F(1, 2), F(1, 4)), (F(0), F(1, 4))),
-                                     Perm.identity(2)))
+        validate_compact(compact((F(1, 2), F(1, 4)), (F(0), F(1, 4))))
     with pytest.raises(InvariantViolation):
-        validate_compact(CompactElem(((F(0), F(1, 4)), (F(1, 4), F(1, 4))),
-                                     Perm.identity(2)))
+        validate_compact(compact((F(0), F(1, 4)), (F(1, 4), F(1, 4))))
     # degenerate point strictly inside an interval is rejected
     with pytest.raises(InvariantViolation):
-        validate_compact(CompactElem(((F(0), F(1, 2)), (F(1, 4), F(0))),
-                                     Perm.identity(2)))
+        validate_compact(compact((F(0), F(1, 2)), (F(1, 4), F(0))))
     # touching at the boundary is fine
-    validate_compact(CompactElem(((F(-1, 2), F(1, 4)), (F(0), F(1, 4))),
-                                 Perm.identity(2)))
+    validate_compact(compact((F(-1, 2), F(1, 4)), (F(0), F(1, 4))))
 
 
 @pytest.mark.parametrize("inst,nullary", [
@@ -73,7 +73,7 @@ def test_law_harness_passes(inst, nullary):
 
 def test_assoc_to_compact_map():
     assert assoc_to_compact(AssocElem(Perm.identity(2))) == \
-        CompactElem(((F(0), F(0)), (F(0), F(0))), Perm.identity(2))
+        CompactElem.from_pairs(((F(0), F(0)), (F(0), F(0))), Perm.identity(2))
     assert assoc_to_compact(AssocElem(Perm(()))).arity == 0
     rep = check_operad_map(assoc_to_compact, ASSOC, COMPACT, seed=3, trials=300,
                            max_arity=4)
@@ -105,8 +105,8 @@ def test_semidirect_iso():
 
 def test_semidirect_iso_example():
     minus = CyclicElem(2, 1)
-    x = SemidirectElem(DiskTuple(((F(0), F(1, 2)),)), (minus,), C2_SIGN)
-    assert semidirect_iso(x) == FramedTuple(((F(0), F(1, 2), minus),), C2_SIGN)
+    x = SemidirectElem(DiskTuple.from_pairs(((F(0), F(1, 2)),)), (minus,), C2_SIGN)
+    assert semidirect_iso(x) == FramedTuple.from_pairs(((F(0), F(1, 2), minus),), C2_SIGN)
 
 
 def test_named_map_registry():
@@ -173,11 +173,70 @@ def test_substitute_matches_the_fraction_formula(slots):
     outer = [(v, r) for v, r, _, _ in slots]
     signs = [e for _, _, e, _ in slots]
     blocks = [block for _, _, _, block in slots]
-    got = substitute(outer, blocks, signs)
+    got = pair_view(*substitute(lattice(outer), [lattice(b) for b in blocks], signs))
     want = [(v + e * r * w, r * s) for (v, r), e, block in zip(outer, signs, blocks)
             for w, s in block]
-    assert got == want
+    assert list(got) == want
     assert all(type(c) is F for pair in got for c in pair)
+
+
+# -- the lattice: reduced, and equal exactly when the Fraction views are -----
+
+_small = st.fractions(min_value=-1, max_value=1, max_denominator=6)
+_ELEMENTS = {
+    "dR": (DiskTuple.from_pairs, lambda x: x.pairs),
+    "framed-c2": (lambda ps: FramedTuple.from_pairs([(v, r, _PLUS) for v, r in ps],
+                                                    C2_SIGN),
+                  lambda x: tuple((v, r) for v, r, _ in x.pairs)),
+    "dc": (lambda ps: CompactElem.from_pairs(ps, Perm.identity(len(ps))),
+           lambda x: x.u_pairs),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ELEMENTS))
+@settings(max_examples=120)
+@given(st.lists(st.tuples(_small, _small, st.sampled_from([1, -1]),
+                          st.lists(st.tuples(_small, _small), max_size=3)),
+                max_size=3),
+       st.integers(min_value=-1, max_value=8), st.tuples(_small, _small))
+@example([(F(0), F(1, 2), 1, [(F(1, 2), F(1, 2))]), (F(1, 2), F(1, 4), -1, [])], 0,
+         (F(1, 4), F(1, 4)))
+def test_lattice_is_reduced_and_equal_exactly_when_views_are(name, slots, at, pair):
+    make, view = _ELEMENTS[name]
+    outer = [(v, r) for v, r, _, _ in slots]
+    blocks = [block for _, _, _, block in slots]
+    signs = [e for _, _, e, _ in slots]
+    den, nums = substitute(lattice(outer), [lattice(b) for b in blocks], signs)
+    composite = make(pair_view(den, nums))
+    # a composite is already reduced, so it is the lattice of its own view
+    assert (composite.den, composite.nums) == (den, nums)
+    assert den > 0 and math.gcd(den, *itertools.chain(*nums)) == 1
+    # the view with one pair replaced, or unchanged when `at` is no slot
+    pairs = list(view(composite))
+    if 0 <= at < len(pairs):
+        pairs[at] = pair
+    other = make(pairs)
+    assert view(other) == tuple(pairs)
+    assert (other == composite) == (view(other) == view(composite))
+    assert other != composite or hash(other) == hash(composite)
+
+
+@pytest.mark.parametrize("inst", [LITTLE_DISKS, FRAMED_C2, COMPACT, SEMIDIRECT_C2],
+                         ids=lambda inst: inst.name)
+def test_law_checks_build_no_fraction(monkeypatch, inst):
+    built = []
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
+    assert F(1, 3) and built == [(1, 3)]
+    built.clear()
+    rep = check_operad_laws(inst, seed=4, trials=100, allow_nullary=inst.allow_nullary)
+    assert rep.ok and rep.cases == 100
+    assert built == []
 
 
 # -- independent oracle for the compactified composition ---------------------
@@ -201,7 +260,7 @@ def compact_compose_oracle(outer: CompactElem, inners):
     order = sorted(range(len(full)), key=lambda l: full[l][1])
     u = tuple(full[order[k]][0] for k in range(len(full)))
     sigma = Perm(tuple(order)).inverse()
-    return CompactElem(u, sigma)
+    return CompactElem.from_pairs(u, sigma)
 
 
 def test_compact_composition_against_oracle():
@@ -262,10 +321,10 @@ def _pairwise_accepts(pairs, degenerate):
 
 _PLUS = CyclicElem(2, 0)
 _VALIDATORS = {
-    "dR": (lambda ps: LITTLE_DISKS.validate(DiskTuple(ps)), False),
+    "dR": (lambda ps: LITTLE_DISKS.validate(DiskTuple.from_pairs(ps)), False),
     "framed-c2": (lambda ps: FRAMED_C2.validate(
-        FramedTuple(tuple((v, r, _PLUS) for v, r in ps), C2_SIGN)), False),
-    "dc": (lambda ps: COMPACT.validate(CompactElem(ps, Perm.identity(len(ps)))),
+        FramedTuple.from_pairs(tuple((v, r, _PLUS) for v, r in ps), C2_SIGN)), False),
+    "dc": (lambda ps: COMPACT.validate(CompactElem.from_pairs(ps, Perm.identity(len(ps)))),
            True),
 }
 _CASES = {

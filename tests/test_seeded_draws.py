@@ -10,18 +10,27 @@ from fractions import Fraction as F
 
 from arcbar import cyclic
 from arcbar.circle import ArcSystem, compose_uec, sample_ucc, sample_uec
-from arcbar.operads import (INSTANCES, CompactElem, DiskTuple, _sample_cells,
-                            sample_ucompact)
+from arcbar.operads import (INSTANCES, CompactElem, DiskTuple, FramedTuple,
+                            _sample_cells, pair_view, sample_ucompact)
 from arcbar.rational import InvariantViolation, Turn, _draw_rat, rat_str
+
+
+# the interval elements by their Fraction view, then their other fields
+_VIEWS = {DiskTuple: lambda x: [x.pairs],
+          FramedTuple: lambda x: [x.pairs, x.group],
+          CompactElem: lambda x: [x.u_pairs, x.perm]}
 
 
 def _canon(x):
     """A JSON form that keeps the type of every scalar: a Fraction is a
-    'p/q' string, an int a number, a dataclass its class name and fields."""
+    'p/q' string, an int a number, a dataclass its class name and fields,
+    an interval element its class name, Fraction view and other fields."""
     if type(x) is F:
         return rat_str(x)
     if type(x) in (int, str):
         return x
+    if type(x) in _VIEWS:
+        return [type(x).__name__] + [_canon(y) for y in _VIEWS[type(x)](x)]
     if is_dataclass(x):
         return [type(x).__name__] + [_canon(getattr(x, f.name)) for f in fields(x)]
     if type(x) in (tuple, list):
@@ -79,8 +88,8 @@ def _draws():
             rows.append([_canon(a), _canon(bs), _outcome(lambda: inst.compose(a, bs))])
             if name in ("dR", "dc"):
                 pairs = a.pairs if name == "dR" else a.u_pairs
-                make = DiskTuple if name == "dR" else (
-                    lambda ps: CompactElem(ps, a.perm))
+                make = DiskTuple.from_pairs if name == "dR" else (
+                    lambda ps: CompactElem.from_pairs(ps, a.perm))
                 rows.append([_outcome(lambda: inst.validate(make(ps)) or "ok")
                              for ps in _interval_faults(pairs)])
         doc[name] = [rows, rng.random()]
@@ -151,8 +160,8 @@ def test_sample_cells_matches_the_fraction_reference_and_rng_state():
         for arity in range(6):
             for den, allow_zero in ((1, False), (8, False), (8, True), (5, True)):
                 a, b = random.Random(seed), random.Random(seed)
-                got = _sample_cells(a, arity, den, allow_zero)
+                got = pair_view(*_sample_cells(a, arity, den, allow_zero))
                 want = _sample_cells_reference(b, arity, den, allow_zero)
-                assert got == want
+                assert list(got) == want
                 assert all(type(c) is F for pair in got for c in pair)
                 assert a.getstate() == b.getstate()

@@ -130,6 +130,10 @@ def test_operad_elem_roundtrip():
     with pytest.raises(jsonio.SchemaError):
         jsonio.element_round_trip({"instance": "dR",
                                    "pairs": [{"v": "0", "r": "2"}]})
+    framed = {"instance": "framed-c12",
+              "pairs": [{"v": "-1/2", "r": "1/4", "h": {"order": 12, "exponent": 5}},
+                        {"v": "1/3", "r": "1/6", "h": {"order": 12, "exponent": 0}}]}
+    assert jsonio.element_round_trip(framed) == framed
 
 
 def test_monoid_roundtrip():
@@ -340,6 +344,12 @@ _BAD_REQUESTS = {
                                "field 'exponent'"),
     "inner-float": (["embed", "compose", "--outer", json.dumps(_SYSTEM),
                      "--inner", '[[0.5, "1/2"]]'], "invalid --inner: not a rational: 0.5"),
+    # a framed order is a canonical positive decimal, or the instance is unknown
+    **{f"framed-instance-{tag}": (["element", "roundtrip", "--json", json.dumps(
+        {"instance": name, "pairs": []})], f"unknown operad instance {name!r}")
+       for tag, name in (("leading-zero", "framed-c02"), ("plus", "framed-c+2"),
+                         ("space", "framed-c 2"), ("underscore", "framed-c2_0"),
+                         ("letter", "framed-cx"), ("zero", "framed-c0"))},
 }
 
 
