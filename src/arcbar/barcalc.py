@@ -10,13 +10,12 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .circle import ArcSystem, compose_uec
 from .cyclic import CyclicPoint, align_ucc, lambda_to_ucc, ucc_to_lambda
 from .groups import act_labels
-from .rational import InvariantViolation, MismatchError, Turn
+from .rational import ZERO, InvariantViolation, MismatchError
 from .report import Report
 
 # ---------------------------------------------------------------------------
@@ -499,18 +498,28 @@ class LabeledOrbit:
     kind: str = "point"  # "point" | "unit" | "base"
 
 
-def _canon_slots(zs: Sequence, rest: tuple, labels: Sequence[str], quantum,
-                 sig_pow) -> tuple:
-    """Least (centers, *rest, labels) over the orbit of Z_n wr C_m.
+def _canon_slots(zs: Sequence[int], rest: tuple, labels: Sequence[str],
+                 quantum: int, sig_pow) -> tuple:
+    """Least (centers, *rest, labels) over the orbit of Z_n wr C_m, on
+    integer centers with the quantum 1/m as `quantum`.
 
     The C_m member of a slot moves only that slot's center, by multiples of
     `quantum`, and acts by sigma on its label.  Centers compare first, so
     for each rotation the least member reduces every center mod `quantum`;
-    only the n rotations are left to compare.
+    only the n rotations are left to compare, and only those whose centers
+    tie for the least are built in full.  When every center already lies in
+    [0, quantum), that member is the identity and relabels nothing.
     """
-    cols = (tuple(z % quantum for z in zs), *rest,
-            tuple(sig_pow(y, -(z // quantum)) for z, y in zip(zs, labels)))
-    return min(tuple(c[k:] + c[:k] for c in cols) for k in range(len(zs)))
+    if 0 <= min(zs) and max(zs) < quantum:
+        cols = (tuple(zs), *rest, tuple(labels))
+    else:
+        cols = (tuple(z % quantum for z in zs), *rest,
+                tuple(sig_pow(y, -(z // quantum)) for z, y in zip(zs, labels)))
+    centers = cols[0]
+    turned = [centers[k:] + centers[:k] for k in range(len(centers))]
+    least = min(turned)
+    return min(tuple(c[k:] + c[:k] for c in cols)
+               for k, t in enumerate(turned) if t == least)
 
 
 def labeled_orbit(coeffs: PointedCmSet, space: ArcSystem,
@@ -525,10 +534,9 @@ def labeled_orbit(coeffs: PointedCmSet, space: ArcSystem,
         return LabeledOrbit(m, n, None, None, "base")
     if n == 0:
         return LabeledOrbit(m, 0, None, None, "unit")
-    zs, rs, phi_c, labels_c = _canon_slots(
-        [z.value for z in space.centers()], (space.radii(), space.phi), labels,
-        space.quantum, coeffs.sigma_pow)
-    space_c = ArcSystem(m, tuple((Turn(z), r) for z, r in zip(zs, rs)), phi_c)
+    zs, rs, ps, labels_c = _canon_slots(space.zs, (space.rs, space.ps), labels,
+                                        space.den // m, coeffs.sigma_pow)
+    space_c = ArcSystem.on_lattice(m, space.den, zs, rs, ps)
     return LabeledOrbit(m, n, space_c, labels_c, "point")
 
 
@@ -544,7 +552,7 @@ def split_orbit_element(space: ArcSystem, words: Sequence[FreeWord]
     for w in words:
         if w.flag == "overflow":
             raise InvariantViolation("overflowing word in a splitting")
-        inners.append(tuple((Fraction(0), Fraction(0)) for _ in w.letters))
+        inners.append(((ZERO, ZERO),) * len(w.letters))
         letters.extend(w.letters)
     return compose_uec(space, inners), tuple(letters)
 
@@ -565,31 +573,38 @@ class LambdaClass:
     kind: str = "point"  # "point" | "unit" | "base"
 
 
-def _canon_twists(rbar, ts: tuple, labels: tuple[str, ...], one,
-                  sig_pow) -> tuple:
+def _canon_twists(rbar: int, ts: tuple[int, ...], labels: tuple[str, ...],
+                  one: int, sig_pow) -> tuple:
     """Least (rbar, simplex, labels) over the orbit of C_{mn}: the twist on
     the point paired with the distinguished wreath element on the labels,
-    with `one` units of rbar to a turn.
+    on integer numerators with `one` units of rbar to a turn.
 
     The n-th power of the generator shifts rbar by -one and applies sigma^-1
     to every label, so for each of the n twist powers the least member has
-    rbar in [0, one); only those n candidates are compared.
+    rbar in [0, one); only those n candidates are compared.  After k twists
+    the label in slot i is the one from slot i - k, turned by sigma^-1 once
+    if it wrapped (i < k); a candidate's labels are built only when its
+    (rbar, simplex) key does not lose to the best so far.
     """
-    cands = []
-    for _ in range(len(ts)):
+    n = len(ts)
+    best = None
+    for k in range(n):
         j = rbar // one
-        cands.append((rbar - j * one, ts, tuple(sig_pow(y, -j) for y in labels)))
+        key = (rbar - j * one, ts)
+        if best is None or key <= best[:2]:
+            cand = key + (tuple(sig_pow(labels[i - k], -j - (i < k))
+                                for i in range(n)),)
+            if best is None or cand < best:
+                best = cand
         rbar, ts = rbar - ts[-1], (ts[-1],) + ts[:-1]
-        labels = (sig_pow(labels[-1], -1),) + labels[:-1]
-    return min(cands)
+    return best
 
 
 def _lambda_canon(coeffs: PointedCmSet, p: CyclicPoint,
                   labels: tuple[str, ...]) -> LambdaClass:
-    rbar, simplex, labels_c = _canon_twists(p.rbar.value, p.simplex, labels, 1,
-                                            coeffs.sigma_pow)
-    return LambdaClass(p.m, p.q + 1, CyclicPoint(p.m, Turn(rbar, Fraction(p.m)),
-                                                 simplex), labels_c, "point")
+    rbar, ts, labels_c = _canon_twists(p.r, p.ts, labels, p.den, coeffs.sigma_pow)
+    return LambdaClass(p.m, p.q + 1, CyclicPoint.on_lattice(p.m, p.den, rbar, ts),
+                       labels_c, "point")
 
 
 def map_c_to_l(coeffs: PointedCmSet, orbit: LabeledOrbit) -> LambdaClass:
@@ -720,19 +735,21 @@ def check_thm_cycbar_free(X: PointedCmSet, n_max: int, m: int, den: int = 4,
                     rep.fail("explicit-inverse", f"n={n}")
                     break
 
-        # dual-route verification through the exact-rational types
+        # dual-route verification through the arc-system and point types:
+        # a class's arc system over 2*scale, a multiple of 2m, and its image
+        # point read back over den
         for cls in itertools.islice(sorted(space_classes), verify_reps):
             zs, ps, labels = cls
-            pairs = tuple((Turn(Fraction(z, scale)), Fraction(0)) for z in zs)
-            space = ArcSystem(m, pairs, tuple(Fraction(p, scale) for p in ps))
+            space = ArcSystem.on_lattice(m, 2 * scale, [2 * z for z in zs],
+                                         [0] * n, [2 * p for p in ps])
             orb = labeled_orbit(X, space, labels)
             lam = map_c_to_l(X, orb)
-            rb = lam.point.rbar.value * den
-            ts = [t * den for t in lam.point.simplex]
-            if rb.denominator != 1 or any(t.denominator != 1 for t in ts):
+            pt = lam.point
+            if den % pt.den:
                 rep.fail("dual-route-lattice", f"n={n}")
                 break
-            enc = (int(rb), tuple(int(t) for t in ts), lam.labels)
+            k = den // pt.den
+            enc = (pt.r * k, tuple(t * k for t in pt.ts), lam.labels)
             if lam_canon(enc) != forward(cls):
                 rep.fail("dual-route", f"n={n}")
                 break

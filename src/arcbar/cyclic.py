@@ -11,13 +11,16 @@ degeneracies-then-faces factorization:
 """
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .groups import CyclicElem, Perm, WreathElem, upsilon
-from .rational import (ZERO, InvariantViolation, MismatchError, Turn, _draw_rat,
-                       draw_composition, rat)
+from .rational import (InvariantViolation, MismatchError, Turn, _draw_num,
+                       composition_nums, over_common_denominator, rat)
 from .circle import ArcSystem, wreath_act
 
 
@@ -202,52 +205,96 @@ def normalize_word(w: CyclicWord) -> CyclicWord:
 # the rational point model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class CyclicPoint:
     """A point (rbar, t_0..t_q) of the degree-q cyclic space: a base angle in
-    R/mZ (turn units) and an exact barycentric simplex coordinate."""
+    R/mZ (turn units) and an exact barycentric simplex coordinate, stored as
+    integer numerators over `den`, the least common denominator of both:
+    `r` is rbar (mod m*den) and `ts` the simplex, which sums to den.
+
+    `CyclicPoint(m, rbar, simplex)` builds one from a Turn mod m and
+    Fractions; `on_lattice` from numerators.  `rbar` and `simplex` are
+    views, and the repr is that of the views."""
 
     m: int
-    rbar: Turn
-    simplex: tuple[Fraction, ...]
+    den: int
+    r: int
+    ts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "simplex", tuple(map(rat, self.simplex)))
-        if self.rbar.modulus != self.m:
+    def __init__(self, m: int, rbar: Turn, simplex: Sequence[Fraction]) -> None:
+        simplex = tuple(map(rat, simplex))
+        if rbar.modulus != m:
             raise InvariantViolation("base angle must be reduced mod m")
-        if not self.simplex:
-            raise InvariantViolation("simplex needs at least one coordinate")
-        if any(t < 0 for t in self.simplex):
-            raise InvariantViolation("barycentric coordinates must be >= 0")
-        if sum(self.simplex) != 1:
-            raise InvariantViolation("barycentric coordinates must sum to 1")
+        den, nums = over_common_denominator([rbar.value, *simplex])
+        _fill(self, m, den, nums[0], nums[1:])
+
+    @classmethod
+    def on_lattice(cls, m: int, den: int, r: int, ts: Sequence[int]) -> "CyclicPoint":
+        """The checked point of numerators over den, reduced to the least
+        common denominator, with r taken mod m*den."""
+        g = math.gcd(den, r, *ts)
+        if g > 1:
+            den, r, ts = den // g, r // g, [t // g for t in ts]
+        p = object.__new__(cls)
+        _fill(p, m, den, r % (m * den), ts)
+        return p
+
+    @property
+    def rbar(self) -> Turn:
+        return Turn(Fraction(self.r, self.den), Fraction(self.m))
+
+    @property
+    def simplex(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(t, self.den) for t in self.ts)
 
     @property
     def q(self) -> int:
-        return len(self.simplex) - 1
+        return len(self.ts) - 1
+
+    def __repr__(self) -> str:
+        return (f"CyclicPoint(m={self.m!r}, rbar={self.rbar!r}, "
+                f"simplex={self.simplex!r})")
+
+
+def _fill(p: CyclicPoint, m: int, den: int, r: int, ts) -> None:
+    """Set the fields, then check the simplex on its numerators."""
+    ts = tuple(ts)
+    if not ts:
+        raise InvariantViolation("simplex needs at least one coordinate")
+    if min(ts) < 0:
+        raise InvariantViolation("barycentric coordinates must be >= 0")
+    if sum(ts) != den:
+        raise InvariantViolation("barycentric coordinates must sum to 1")
+    setattr_ = object.__setattr__
+    setattr_(p, "m", m)
+    setattr_(p, "den", den)
+    setattr_(p, "r", r)
+    setattr_(p, "ts", ts)
 
 
 def twist_point(p: CyclicPoint) -> CyclicPoint:
-    t = p.simplex
-    return CyclicPoint(p.m, p.rbar - t[-1], (t[-1],) + t[:-1])
+    t = p.ts
+    return CyclicPoint.on_lattice(p.m, p.den, p.r - t[-1], (t[-1],) + t[:-1])
 
 
 def face_point(i: int, p: CyclicPoint) -> CyclicPoint:
     q = p.q
     if q < 1 or not (0 <= i <= q):
         raise MismatchError(f"face d_{i} undefined at degree {q}")
-    t = p.simplex
+    t = p.ts
     if i < q:
-        return CyclicPoint(p.m, p.rbar, t[:i] + (t[i] + t[i + 1],) + t[i + 2:])
-    return CyclicPoint(p.m, p.rbar - t[-1], (t[0] + t[-1],) + t[1:-1])
+        return CyclicPoint.on_lattice(p.m, p.den, p.r,
+                                      t[:i] + (t[i] + t[i + 1],) + t[i + 2:])
+    return CyclicPoint.on_lattice(p.m, p.den, p.r - t[-1],
+                                  (t[0] + t[-1],) + t[1:-1])
 
 
 def degeneracy_point(i: int, p: CyclicPoint) -> CyclicPoint:
     q = p.q
     if not (0 <= i <= q):
         raise MismatchError(f"degeneracy s_{i} undefined at degree {q}")
-    t = p.simplex
-    return CyclicPoint(p.m, p.rbar, t[:i + 1] + (Fraction(0),) + t[i + 1:])
+    t = p.ts
+    return CyclicPoint.on_lattice(p.m, p.den, p.r, t[:i + 1] + (0,) + t[i + 1:])
 
 
 def act_on_point(w: str | CyclicWord, p: CyclicPoint) -> CyclicPoint:
@@ -269,8 +316,12 @@ def act_on_point(w: str | CyclicWord, p: CyclicPoint) -> CyclicPoint:
 
 def circle_act_point(theta: Turn | Fraction, p: CyclicPoint) -> CyclicPoint:
     """Rotation by theta turns shifts the base angle by m * theta."""
-    t = theta.value if isinstance(theta, Turn) else Fraction(theta)
-    return CyclicPoint(p.m, p.rbar + p.m * t, p.simplex)
+    t = theta.value if isinstance(theta, Turn) else rat(theta)
+    den = math.lcm(p.den, t.denominator)
+    k = den // p.den
+    return CyclicPoint.on_lattice(
+        p.m, den, p.r * k + p.m * t.numerator * (den // t.denominator),
+        [x * k for x in p.ts])
 
 
 # ---------------------------------------------------------------------------
@@ -280,55 +331,46 @@ def circle_act_point(theta: Turn | Fraction, p: CyclicPoint) -> CyclicPoint:
 def lambda_to_ucc(p: CyclicPoint) -> ArcSystem:
     """The comparison map onto arity-(q+1) zero-radius arc systems: centers at
     the partial sums of the simplex coordinates, gaps the coordinates scaled
-    down by m."""
-    m = p.m
-    acc = p.rbar.value
-    zs: list[Turn] = []
-    for t in p.simplex:
-        zs.append(Turn(acc / m))
-        acc += t
-    phi = tuple(t / m for t in p.simplex)
-    pairs = tuple((z, ZERO) for z in zs)
-    return ArcSystem(m, pairs, phi)
+    down by m.  Over m*den, a center is rbar plus a partial sum and a gap a
+    coordinate; the arc lattice doubles that to a multiple of 2m."""
+    zs = itertools.accumulate(p.ts[:-1], initial=p.r)
+    return ArcSystem.on_lattice(p.m, 2 * p.m * p.den, [2 * z for z in zs],
+                                (0,) * len(p.ts), [2 * t for t in p.ts])
 
 
 def is_aligned(x: ArcSystem) -> bool:
     """Whether consecutive centers differ by exactly the recorded gap on S^1
     (not merely on the quotient circle)."""
-    phi = x.phi
-    for j in range(x.n - 1):
-        if (x.pairs[j][0] + phi[j]) != x.pairs[j + 1][0]:
-            return False
-    return True
+    zs, den = x.zs, x.den
+    return all((z + p) % den == z2 for z, p, z2 in zip(zs, x.ps, zs[1:]))
 
 
 def align_ucc(x: ArcSystem) -> tuple[ArcSystem, WreathElem]:
     """The C_m^n correction g with x * g aligned (identity permutation part)."""
     if x.variant != "uCc":
         raise MismatchError("alignment is for zero-radius systems")
-    phi = x.phi
+    quantum = x.den // x.m
     exps = [0]
-    target = x.pairs[0][0].value
-    for j in range(1, x.n):
-        target = target + phi[j - 1]
-        diff = (target - x.pairs[j][0].value) * x.m
-        if diff.denominator != 1:
+    target = x.zs[0]
+    for p, z in zip(x.ps, x.zs[1:]):
+        target += p
+        diff = target - z
+        if diff % quantum:
             raise InvariantViolation("system violates the gap consistency invariant")
-        exps.append(int(diff) % x.m)
+        exps.append(diff // quantum % x.m)
     g = WreathElem(Perm.identity(x.n),
                    tuple(CyclicElem(x.m, e) for e in exps))
     return wreath_act(g, x), g
 
 
 def ucc_to_lambda(x: ArcSystem) -> CyclicPoint:
-    """Inverse comparison map, defined on aligned zero-radius systems."""
+    """Inverse comparison map, defined on aligned zero-radius systems: over
+    den/m, rbar is the first center and the simplex the gaps."""
     if x.variant != "uCc":
         raise MismatchError("inverse comparison needs a nonempty uCc system")
     if not is_aligned(x):
         raise InvariantViolation("system is not aligned; apply align_ucc first")
-    rbar = Turn(x.pairs[0][0].value * x.m, Fraction(x.m))
-    simplex = tuple(p * x.m for p in x.phi)
-    return CyclicPoint(x.m, rbar, simplex)
+    return CyclicPoint.on_lattice(x.m, x.den // x.m, x.zs[0], x.ps)
 
 
 def tau_upsilon_intertwined(p: CyclicPoint) -> bool:
@@ -344,9 +386,11 @@ def tau_upsilon_intertwined(p: CyclicPoint) -> bool:
 # ---------------------------------------------------------------------------
 
 def sample_point(rng: random.Random, m: int, q: int) -> CyclicPoint:
-    rbar = _draw_rat(rng, 8, Fraction(0), Fraction(m))
-    simplex = draw_composition(rng, Fraction(1), q + 1, 8)
-    return CyclicPoint(m, Turn(rbar, Fraction(m)), simplex)
+    p, d = _draw_num(rng, 8, 0, m)
+    scale, ts = composition_nums(rng, q + 1, 8)
+    den = math.lcm(d, scale)
+    return CyclicPoint.on_lattice(m, den, p * (den // d),
+                                  [t * (den // scale) for t in ts])
 
 
 def sample_word(rng: random.Random, m: int, source: int,

@@ -36,13 +36,21 @@ class Perm:
             raise InvariantViolation(f"not a bijection: {self.images}")
 
     @staticmethod
+    def _of(images: tuple[int, ...]) -> "Perm":
+        """The permutation of a tuple that is a bijection by construction,
+        built without the check."""
+        p = object.__new__(Perm)
+        object.__setattr__(p, "images", images)
+        return p
+
+    @staticmethod
     def identity(n: int) -> "Perm":
-        return Perm(tuple(range(n)))
+        return Perm._of(tuple(range(n)))
 
     @staticmethod
     def cycle(n: int) -> "Perm":
         """The n-cycle (0 1 ... n-1), mapping i to i+1 mod n."""
-        return Perm(tuple((i + 1) % n for i in range(n))) if n else Perm(())
+        return Perm._of(tuple((i + 1) % n for i in range(n)))
 
     @staticmethod
     def from_one_based(images: Sequence[int]) -> "Perm":
@@ -61,13 +69,13 @@ class Perm:
     def compose(self, other: "Perm") -> "Perm":
         if self.degree != other.degree:
             raise MismatchError("degree mismatch")
-        return Perm(tuple(self.images[other.images[i]] for i in range(self.degree)))
+        return Perm._of(tuple(self.images[other.images[i]] for i in range(self.degree)))
 
     def inverse(self) -> "Perm":
         inv = [0] * self.degree
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Perm(tuple(inv))
+        return Perm._of(tuple(inv))
 
     def __pow__(self, k: int) -> "Perm":
         out = Perm.identity(self.degree)
@@ -99,7 +107,7 @@ def block_sum(perms: Sequence[Perm]) -> Perm:
     for p in perms:
         images.extend(offset + j for j in p.images)
         offset += p.degree
-    return Perm(tuple(images))
+    return Perm._of(tuple(images))
 
 
 def block_perm(sigma: Perm, block_sizes: Sequence[int]) -> Perm:
@@ -123,7 +131,7 @@ def block_perm(sigma: Perm, block_sizes: Sequence[int]) -> Perm:
     for i in range(n):
         for k in range(block_sizes[i]):
             images[dom_off[i] + k] = cod_off[sigma(i)] + k
-    return Perm(tuple(images))
+    return Perm._of(tuple(images))
 
 
 def block_cycle_perm(block_sizes: Sequence[int], alpha: Perm) -> Perm:

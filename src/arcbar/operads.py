@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 from .groups import CyclicElem, Perm, block_perm, block_sum
 from .rational import (InvariantViolation, MismatchError, _draw_num, first_overlap,
-                       over_common_denominator)
+                       lcm_upto, over_common_denominator)
 from .report import Report
 
 Pair = tuple[Fraction, Fraction]
@@ -252,7 +252,7 @@ def _sample_cells(rng: random.Random, arity: int, den: int,
     gcd reduces the lattice."""
     if arity == 0:
         return 1, ()
-    m = math.lcm(*range(1, den + 1))
+    m = lcm_upto(den)
     out: list[tuple[int, int]] = []
     for i in range(arity):
         p, q = _draw_num(rng, den, -1, 1)
@@ -273,7 +273,7 @@ def _sample_cells(rng: random.Random, arity: int, den: int,
 def _rand_perm(rng: random.Random, n: int) -> Perm:
     images = list(range(n))
     rng.shuffle(images)
-    return Perm(tuple(images))
+    return Perm._of(tuple(images))
 
 
 # Each instance class says whether the law checks sample arity-0 elements;

@@ -161,33 +161,39 @@ def _draw_num(rng: random.Random, bound_den: int, lo: int | Rat,
     return rng.randint(p_lo, p_hi), q
 
 
-def _draw_rat(rng: random.Random, bound_den: int, lo: int | Rat, hi: int | Rat) -> Rat:
-    return Fraction(*_draw_num(rng, bound_den, lo, hi))
+@functools.lru_cache(maxsize=64)
+def lcm_upto(den: int) -> int:
+    """lcm(1, ..., den): a denominator of every p/q with q <= den."""
+    return math.lcm(*range(1, den + 1))
 
 
-def draw_composition(rng: random.Random, total: Rat, parts: int, den: int,
-                     allow_zero: bool = True) -> tuple[Rat, ...]:
-    """Random rational composition of `total` into `parts` nonnegative parts.
+def composition_nums(rng: random.Random, parts: int, den: int,
+                     allow_zero: bool = True) -> tuple[int, list[int]]:
+    """Random composition of 1 into `parts` nonnegative parts, on integers:
+    (L, nums) with L = lcm(1..den) and the parts nums[i] / L.
 
-    Cut-point construction: denominators stay bounded by den * total.denominator.
-    With allow_zero=False the cuts are drawn again until every part is
-    nonzero; a request no cuts can meet raises InvariantViolation.
-    """
+    Cut-point construction: the parts - 1 cuts are seeded p/q in [0, 1]
+    with q <= den, and a cut p/q is the numerator p*(L/q) over L, so the
+    cuts sort as the rationals do.  With allow_zero=False the cuts are drawn
+    again until every part is nonzero; a request no cuts can meet raises
+    InvariantViolation."""
     if parts < 1:
         raise InvariantViolation("need at least one part")
-    total = Fraction(total)
     if not allow_zero:
-        check_nonzero_composition(total, parts, den)
+        check_nonzero_composition(1, parts, den)
+    scale = lcm_upto(den)
     while True:
-        cuts = sorted(_draw_rat(rng, den, ZERO, ONE) for _ in range(parts - 1))
-        points = [ZERO] + cuts + [ONE]
-        out = [(points[i + 1] - points[i]) * total for i in range(parts)]
+        cuts = sorted(p * (scale // q) for p, q in
+                      (_draw_num(rng, den, 0, 1) for _ in range(parts - 1)))
+        points = [0, *cuts, scale]
+        out = [b - a for a, b in zip(points, points[1:])]
         if allow_zero or all(out):
-            return tuple(out)
+            return scale, out
 
 
 def check_nonzero_composition(total: Rat, parts: int, den: int) -> None:
-    """Raise unless `draw_composition` can give `parts` nonzero parts.
+    """Raise unless a composition of `total` (`composition_nums` draws one
+    of 1) can have `parts` nonzero parts.
 
     The parts - 1 cuts must then be distinct rationals in (0, 1) with
     denominator <= den, of which there are sum(phi(q) for q = 2..den).

@@ -13,7 +13,7 @@ from .operads import (ASSOC, COMPACT, FRAMED_C2, LITTLE_DISKS, OPERAD_MAPS,
                       SEMIDIRECT_C2, check_operad_laws, check_operad_map,
                       lattice, pair_view, sample_ucompact, semidirect_iso,
                       semidirect_iso_inverse, split_blocks, substitute)
-from .rational import InvariantViolation, Turn
+from .rational import InvariantViolation
 from .report import Report
 
 
@@ -86,7 +86,7 @@ def run_embed_compose(cfg: RunConfig) -> Report:
             gs = [sample_ucompact(rng, s) for s in sizes]
             fg = circle.compose_uec(f, gs)
             rep.cases += 1
-            if sum(fg.phi) != (Fraction(1, m) if fg.n else 0):
+            if sum(fg.ps) != (fg.den // m if fg.n else 0):
                 rep.fail("gap-sum", f"trial {t}")
             # unit law
             units = [((Fraction(0), Fraction(1)),) for _ in range(n)]
@@ -116,7 +116,7 @@ def run_embed_compose(cfg: RunConfig) -> Report:
                 rep.fail("cyclic-compatibility", f"trial {t}")
             # actions commute
             g = rng.choice(list(znwrcm_elements(n, m)))
-            theta = Turn(Fraction(rng.randint(0, 7), 8))
+            theta = Fraction(rng.randint(0, 7), 8)
             if circle.circle_act(theta, circle.wreath_act(g, f)) != \
                     circle.wreath_act(g, circle.circle_act(theta, f)):
                 rep.fail("action-commutation", f"trial {t}")
@@ -130,7 +130,7 @@ def run_embed_compose(cfg: RunConfig) -> Report:
             for _ in range(n):
                 y = circle.retract_step(y)
             rep.cases += 1
-            if any(p <= 0 for p in y.phi):
+            if any(p <= 0 for p in y.ps):
                 rep.fail("retract-positivity", f"trial {t}")
     rep.cases += 1
     with rep.guard("retract-example", "phi=(1,0)"):
@@ -176,7 +176,7 @@ def run_lambda_iso(cfg: RunConfig) -> Report:
                 rep.fail("roundtrip", f"trial {t}")
             if not cyclic.tau_upsilon_intertwined(p):
                 rep.fail("tau-upsilon", f"trial {t}")
-            theta = Turn(Fraction(rng.randint(0, 15), 16))
+            theta = Fraction(rng.randint(0, 15), 16)
             if cyclic.lambda_to_ucc(cyclic.circle_act_point(theta, p)) != \
                     circle.circle_act(theta, x):
                 rep.fail("circle-equivariance", f"trial {t}")

@@ -8,15 +8,122 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from arcbar.barcalc import labeled_orbit, pointed_set
 from arcbar.circle import (ArcSystem, circle_act, compose_uec, cyclic_rotate,
                            retract_step, sample_ucc, sample_uec, system,
                            wreath_act)
+from arcbar.cyclic import (CyclicPoint, circle_act_point, face_point,
+                           lambda_to_ucc, sample_point, twist_point, ucc_to_lambda)
 from arcbar.groups import (CyclicElem, Perm, WreathElem, block_cycle_perm,
                            upsilon, znwrcm_elements)
 from arcbar.jsonio import arc_system_from_json, arc_system_to_json
 from arcbar.operads import sample_ucompact
 from arcbar.rational import InvariantViolation, MismatchError, Turn, rat_str
 from test_groups import wreath_identity, wreath_mul
+
+
+def _count_fractions(monkeypatch) -> list:
+    """From here on, the arguments of every Fraction built."""
+    built = []
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
+    return built
+
+
+def test_arc_operations_build_no_fraction(monkeypatch):
+    rng = random.Random(7)
+    xs = [sample_uec(rng, m, n) for m in (1, 2, 3) for n in (1, 3, 5)]
+    ys = [sample_ucc(rng, m, n, allow_zero_gaps=True) for m in (1, 2, 3)
+          for n in (1, 4)]
+    blocks = [[sample_ucompact(rng, rng.randint(0, 3)) for _ in range(x.n)]
+              for x in xs]
+    gs = [rng.choice(list(znwrcm_elements(x.n, x.m))) for x in xs]
+    thetas = [F(1, 3), F(5, 16), Turn(F(7, 12))]
+    points = [sample_point(rng, m, q) for m in (1, 2, 3) for q in (0, 2)]
+    X = {m: pointed_set("X", ["x", "y"], m, {"x": "y", "y": "x"} if m % 2 == 0
+                        else {}) for m in (1, 2, 3)}
+    labels = [tuple(rng.choice("xy") for _ in range(y.n)) for y in ys + xs]
+    built = _count_fractions(monkeypatch)
+    for x, blk, g in zip(xs, blocks, gs):
+        compose_uec(x, blk)
+        wreath_act(g, x)
+        for theta in thetas:
+            circle_act(theta, x)
+    for y in ys:
+        for _ in range(y.n):
+            y = retract_step(y)
+    for x, ls in zip(ys + xs, labels):
+        assert labeled_orbit(X[x.m], x, ls).kind == "point"
+    for p in points:
+        assert ucc_to_lambda(lambda_to_ucc(p)) == p
+    assert built == []
+
+
+def test_repr_is_that_of_the_views():
+    x = system(2, [(0, F(1, 8)), (F(1, 4), 0)], [F(1, 4), F(1, 4)], "uEc")
+    assert repr(x) == (
+        "ArcSystem(m=2, pairs=((Turn(value=Fraction(0, 1), modulus=Fraction(1, 1)),"
+        " Fraction(1, 8)), (Turn(value=Fraction(1, 4), modulus=Fraction(1, 1)),"
+        " Fraction(0, 1))), phi=(Fraction(1, 4), Fraction(1, 4)))")
+    assert str(x) == repr(x)
+    assert repr(system(1, [], [], "uEc")) == "ArcSystem(m=1, pairs=(), phi=())"
+    p = CyclicPoint(2, Turn(F(3, 2), F(2)), (F(1, 3), F(2, 3)))
+    assert repr(p) == (
+        "CyclicPoint(m=2, rbar=Turn(value=Fraction(3, 2), modulus=Fraction(2, 1)),"
+        " simplex=(Fraction(1, 3), Fraction(2, 3)))")
+
+
+def _arc_view(x):
+    return x.m, x.pairs, x.phi
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 4), st.integers(1, 12),
+       st.sampled_from([F(0), F(1, 2), F(1, 3), F(5, 12), F(7, 8)]))
+def test_arc_lattice_is_least_and_equal_exactly_when_views_are(seed, m, n, den, theta):
+    rng = random.Random(seed)
+    x = sample_uec(rng, m, n, den)
+    g = rng.choice(list(znwrcm_elements(n, m)))
+    for y in (x, sample_ucc(rng, m, n, den), circle_act(theta, x),
+              circle_act(1 - theta, circle_act(theta, x)), wreath_act(g, x),
+              compose_uec(x, [sample_ucompact(rng, rng.randint(0, 2), den)
+                              for _ in range(n)])):
+        # den is the least multiple of 2m over which every coordinate is an
+        # integer, and the views build the same lattice back
+        values = [z.value for z in y.centers()] + list(y.radii()) + list(y.phi)
+        assert y.den == math.lcm(2 * y.m, *(v.denominator for v in values))
+        assert all(0 <= z < y.den for z in y.zs)
+        again = ArcSystem(y.m, y.pairs, y.phi)
+        assert (again.den, again.zs, again.rs, again.ps) == (y.den, y.zs, y.rs, y.ps)
+        assert (y == x) == (_arc_view(y) == _arc_view(x))
+        assert y != x or hash(y) == hash(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3), st.integers(0, 4),
+       st.sampled_from([F(0), F(1, 2), F(1, 3), F(3, 8)]))
+def test_point_lattice_is_least_and_equal_exactly_when_views_are(seed, m, q, theta):
+    rng = random.Random(seed)
+    p = sample_point(rng, m, q)
+    others = [p, twist_point(p), circle_act_point(theta, p),
+              circle_act_point(1 - theta, circle_act_point(theta, p)),
+              sample_point(rng, m, q)]
+    if q:
+        others.append(face_point(rng.randint(0, q), p))
+    for y in others:
+        values = [y.rbar.value, *y.simplex]
+        assert y.den == math.lcm(*(v.denominator for v in values))
+        assert 0 <= y.r < y.m * y.den and sum(y.ts) == y.den
+        again = CyclicPoint(y.m, y.rbar, y.simplex)
+        assert (again.den, again.r, again.ts) == (y.den, y.r, y.ts)
+        same = (y.m, y.rbar, y.simplex) == (p.m, p.rbar, p.simplex)
+        assert (y == p) == same
+        assert y != p or hash(y) == hash(p)
 
 
 def test_validation():
@@ -60,18 +167,12 @@ def test_validation():
                   (F(1, 2), F(1, 2)))
 
 
-def test_validation_builds_the_quantum_once(monkeypatch):
-    reads = []
-    real = ArcSystem.quantum
-
-    def counted(self):
-        reads.append(self.m)
-        return real.fget(self)
-
-    monkeypatch.setattr(ArcSystem, "quantum", property(counted))
+def test_validation_builds_no_fraction(monkeypatch):
+    x = system(2, [(0, F(1, 8)), (F(1, 4), F(1, 8))], [F(1, 4), F(1, 4)], "uEc")
+    built = _count_fractions(monkeypatch)
     # every check runs: radii, images, the gap bounds and the gap congruence
-    system(2, [(0, F(1, 8)), (F(1, 4), F(1, 8))], [F(1, 4), F(1, 4)], "uEc")
-    assert reads == [2]
+    x.validate()
+    assert built == []
 
 
 def test_compose_worked_example():

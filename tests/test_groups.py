@@ -179,3 +179,33 @@ def test_znwrcm_enumeration_size():
         elems = list(znwrcm_elements(n, m))
         assert len(elems) == n * m ** n
         assert len(set(elems)) == len(elems)
+
+
+def _is_bijection(p, n):
+    return type(p.images) is tuple and sorted(p.images) == list(range(n))
+
+
+def test_unchecked_builders_return_bijections():
+    # the builders skip the bijection check, so every one must build a
+    # bijection by construction
+    from arcbar.operads import _rand_perm
+    rng = random.Random(9)
+    for n in range(6):
+        perms = [Perm.identity(n), Perm.cycle(n)] + \
+            [_rand_perm(rng, n) for _ in range(10)]
+        for p in perms:
+            assert _is_bijection(p, n)
+            assert _is_bijection(p.inverse(), n)
+            for q in perms:
+                assert _is_bijection(p.compose(q), n)
+            for k in (-2, 0, 3):
+                assert _is_bijection(p ** k, n)
+            sizes = [rng.randint(0, 3) for _ in range(n)]
+            assert _is_bijection(block_perm(p, sizes), sum(sizes))
+            blocks = [_rand_perm(rng, s) for s in sizes]
+            assert _is_bijection(block_sum(blocks), sum(sizes))
+    for images in ((0, 0), (1,), (0, 2), (2, 0, 0)):
+        with pytest.raises(InvariantViolation):
+            Perm(images)
+        with pytest.raises(InvariantViolation):
+            Perm.from_one_based([i + 1 for i in images])

@@ -7,11 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcbar.rational import (InvariantViolation, MismatchError, Turn,
-                             _draw_rat, draw_composition, first_overlap,
-                             mod_frac, rat, rat_str, parse_rat)
+from arcbar.rational import (InvariantViolation, MismatchError, Turn, _draw_num,
+                             check_nonzero_composition, composition_nums,
+                             first_overlap, mod_frac, rat, rat_str, parse_rat)
 
 rats = st.fractions(min_value=-50, max_value=50, max_denominator=16)
+
+
+def _draw_rat(rng, bound_den, lo, hi):
+    """The seeded draw p/q as a Fraction."""
+    return F(*_draw_num(rng, bound_den, lo, hi))
+
+
+def draw_composition(rng, total, parts, den, allow_zero=True):
+    """The seeded composition of `total`, as Fractions: the integer
+    composition of 1 scaled by `total`."""
+    if parts >= 1 and not allow_zero:
+        check_nonzero_composition(F(total), parts, den)
+    scale, nums = composition_nums(rng, parts, den, allow_zero)
+    return tuple(F(k, scale) * total for k in nums)
 
 
 @given(rats, rats, rats)

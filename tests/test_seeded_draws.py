@@ -12,19 +12,22 @@ from arcbar import cyclic
 from arcbar.circle import ArcSystem, compose_uec, sample_ucc, sample_uec
 from arcbar.operads import (INSTANCES, CompactElem, DiskTuple, FramedTuple,
                             _sample_cells, pair_view, sample_ucompact)
-from arcbar.rational import InvariantViolation, Turn, _draw_rat, rat_str
+from arcbar.rational import InvariantViolation, Turn, rat_str
+from test_rational import _draw_rat
 
 
-# the interval elements by their Fraction view, then their other fields
+# the lattice elements by the fields their Fraction views stand for
 _VIEWS = {DiskTuple: lambda x: [x.pairs],
           FramedTuple: lambda x: [x.pairs, x.group],
-          CompactElem: lambda x: [x.u_pairs, x.perm]}
+          CompactElem: lambda x: [x.u_pairs, x.perm],
+          ArcSystem: lambda x: [x.m, x.pairs, x.phi],
+          cyclic.CyclicPoint: lambda p: [p.m, p.rbar, p.simplex]}
 
 
 def _canon(x):
     """A JSON form that keeps the type of every scalar: a Fraction is a
     'p/q' string, an int a number, a dataclass its class name and fields,
-    an interval element its class name, Fraction view and other fields."""
+    a lattice element its class name and the views of its fields."""
     if type(x) is F:
         return rat_str(x)
     if type(x) in (int, str):
