@@ -28,7 +28,8 @@ from arcbar.cyclic import (CyclicPoint, circle_act_point, lambda_to_ucc,
                            sample_point, twist_point)
 from arcbar.groups import act_labels, upsilon, znwrcm_elements
 from arcbar.rational import InvariantViolation, MismatchError, Turn
-from arcbar.report import MAX_LISTED
+from arcbar import report as report_module
+from arcbar.report import MAX_LISTED, Report
 from arcbar.suites import RunConfig, run_suite
 
 
@@ -319,6 +320,166 @@ def test_verify_cyclic_object_folds_a_raising_operator_per_degree(monkeypatch):
     assert rep.failures == [{"law": "closure", "witness": f"q={q}: face refused",
                              "expected": "", "got": ""} for q in (1, 2, 3)]
     assert rep.cases == 3
+
+
+def _uncollapsed_face(R, i, t):
+    # skips the basepoint collapse when t_0 is the basepoint, so d_i t for
+    # 0 < i < q keeps the other entries (d_0 and d_q multiply by t_0 anyway)
+    q = len(t) - 1
+    if t[0] != R.base or not 0 < i < q:
+        return cyclic_face(R, i, t)
+    x = R.multiply(t[i], t[i + 1])
+    return (R.base,) * q if x == R.base else t[:i] + (x,) + t[i + 2:]
+
+
+def test_collapse_law_kills_a_face_that_keeps_basepoint_tuples(monkeypatch):
+    # every displayed relation holds for this face, which sends a tuple
+    # holding the basepoint to a tuple that is not the all-basepoint one;
+    # only the collapse law sees it
+    monkeypatch.setattr(barcalc, "cyclic_face", _uncollapsed_face)
+    R = pointed_cyclic_monoid("c2", 2, 2)
+    rep = verify_cyclic_object(R, 4, cap=4096)
+    assert rep.failures
+    assert {f["law"] for f in rep.failures} == {"collapse"}
+    assert rep.failures[0]["witness"] == "q=2, t=('*', 'g0', 'g0')"
+
+
+def _reference_verify(R, q_max, cap, seed, trials):
+    """Every relation checked on every tuple, each operator called afresh for
+    every relation side, with the collapse law first: the oracle for the
+    shared checks of tuples holding the basepoint."""
+    rng = random.Random(seed)
+    b = barcalc
+    rep = Report("reference")
+    for q in range(1, q_max + 1):
+        if len(R.elements) ** (q + 1) <= cap:
+            tuples = itertools.product(R.elements, repeat=q + 1)
+        else:
+            tuples = (tuple(rng.choice(R.elements) for _ in range(q + 1))
+                      for _ in range(trials))
+        with rep.guard("closure", f"q={q}"):
+            for t in tuples:
+                rep.cases += 1
+                w = f"q={q}, t={t}"
+                tw = b.cyclic_twist(R, t)
+                D = [b.cyclic_face(R, i, t) for i in range(q + 1)]
+                S = [b.cyclic_degeneracy(R, j, t) for j in range(q + 1)]
+                ct = b.collapse(R, t)
+                pt = (R.base,) * (q + 1)
+                if R.base in t and (tw != pt or any(d != pt[1:] for d in D) or
+                                    any(s != pt + (R.base,) for s in S)):
+                    rep.fail("collapse", w)
+                cur = tw
+                for _ in range(R.m * (q + 1) - 1):
+                    cur = b.cyclic_twist(R, cur)
+                if cur != ct:
+                    rep.fail("tau period", w)
+                if b.cyclic_face(R, 0, tw) != D[q]:
+                    rep.fail("d_0 tau = d_q", w)
+                for i in range(1, q + 1):
+                    if b.cyclic_face(R, i, tw) != b.cyclic_twist(R, D[i - 1]):
+                        rep.fail(f"d_{i} tau", w)
+                if b.cyclic_degeneracy(R, 0, tw) != \
+                        b.cyclic_twist(R, b.cyclic_twist(R, S[q])):
+                    rep.fail("s_0 tau", w)
+                for i in range(1, q + 1):
+                    if b.cyclic_degeneracy(R, i, tw) != b.cyclic_twist(R, S[i - 1]):
+                        rep.fail(f"s_{i} tau", w)
+                if q >= 2:
+                    for i in range(q + 1):
+                        for j in range(i + 1, q + 1):
+                            if b.cyclic_face(R, i, D[j]) != b.cyclic_face(R, j - 1, D[i]):
+                                rep.fail(f"d_{i} d_{j}", w)
+                for i in range(q + 1):
+                    for j in range(i, q + 1):
+                        if b.cyclic_degeneracy(R, i, S[j]) != \
+                                b.cyclic_degeneracy(R, j + 1, S[i]):
+                            rep.fail(f"s_{i} s_{j}", w)
+                for j in range(q + 1):
+                    for i in range(q + 2):
+                        if i < j:
+                            rhs = b.cyclic_degeneracy(R, j - 1, D[i])
+                        elif i in (j, j + 1):
+                            rhs = ct
+                        else:
+                            rhs = b.cyclic_degeneracy(R, j, D[i - 1])
+                        if b.cyclic_face(R, i, S[j]) != rhs:
+                            rep.fail(f"d_{i} s_{j}", w)
+    return rep
+
+
+def _face_refusing_late(R, i, t):
+    # raises on the last tuple at q = 3 that holds the basepoint once
+    if t == (R.elements[-1],) * 3 + (R.base,):
+        raise InvariantViolation("face refused a late tuple")
+    return cyclic_face(R, i, t)
+
+
+_ORACLE_MUTANTS = {
+    "none": {},
+    "bad face": {"cyclic_face": _bad_face},
+    "bad degeneracy": {"cyclic_degeneracy": _bad_degeneracy},
+    "twist without sigma": {"cyclic_twist": lambda R, t: barcalc.collapse(
+        R, (t[-1],) + t[:-1])},
+    "twist rotating basepoint tuples": {"cyclic_twist": lambda R, t: (
+        (t[-1],) + t[:-1] if R.base in t else cyclic_twist(R, t))},
+    "twist rotating tuples with one entry off the basepoint": {
+        "cyclic_twist": lambda R, t: (
+            (t[-1],) + t[:-1] if t.count(R.base) == len(t) - 1
+            else cyclic_twist(R, t))},
+    "degeneracy keeping basepoint tuples": {"cyclic_degeneracy": lambda R, i, t: (
+        t[:i + 1] + (R.unit,) + t[i + 1:] if R.base in t
+        else cyclic_degeneracy(R, i, t))},
+    "degeneracy keeping tuples that end in the basepoint": {
+        "cyclic_degeneracy": lambda R, i, t: (
+            t[:i + 1] + (R.unit,) + t[i + 1:] if t[-1] == R.base
+            else cyclic_degeneracy(R, i, t))},
+    "collapse as identity": {"collapse": lambda R, t: t},
+    "collapse of the first entry only": {"collapse": lambda R, t: (
+        (R.base,) + t[1:] if R.base in t else t)},
+    "collapse one entry short": {"collapse": lambda R, t: (
+        (R.base,) * (len(t) - 1) if R.base in t else t)},
+    "uncollapsed face": {"cyclic_face": _uncollapsed_face},
+    "d_q dropping a basepoint t_0": {"cyclic_face": lambda R, i, t: (
+        t[1:] if i == len(t) - 1 and t[0] == R.base else cyclic_face(R, i, t))},
+    "face refusing a late tuple": {"cyclic_face": _face_refusing_late},
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_ORACLE_MUTANTS))
+def test_verify_cyclic_object_equals_per_tuple_reference(monkeypatch, mutant):
+    # the shared checks of tuples holding the basepoint give the same cases
+    # and the same failures, in order and uncapped, as checking every tuple;
+    # four mutants give tuples holding the basepoint whose images differ
+    # only in tau t, only in D, only in S or only in the collapsed t, and
+    # whose failing laws differ
+    monkeypatch.setattr(report_module, "MAX_LISTED", 10 ** 9)
+    for name, op in _ORACLE_MUTANTS[mutant].items():
+        monkeypatch.setattr(barcalc, name, op)
+    for m in (1, 2, 3, 4):
+        for R in standard_monoids(m):
+            got = verify_cyclic_object(R, 4, cap=4096, seed=3, trials=60)
+            want = _reference_verify(R, 4, 4096, 3, 60)
+            assert (got.cases, got.failures) == (want.cases, want.failures), \
+                (mutant, R.name, m)
+
+
+def test_verify_cyclic_object_checks_basepoint_tuples_once_per_degree(monkeypatch):
+    # c2 at m = 2, q <= 4: checking each of the 360 tuples alone took 18558
+    # face calls; sharing the checks of tuples holding the basepoint leaves
+    # their first-level faces and one battery per degree
+    calls = 0
+
+    def counted_face(R, i, t):
+        nonlocal calls
+        calls += 1
+        return cyclic_face(R, i, t)
+
+    monkeypatch.setattr(barcalc, "cyclic_face", counted_face)
+    rep = verify_cyclic_object(pointed_cyclic_monoid("c2", 2, 2), 4, cap=4096)
+    assert rep.ok and rep.cases == 360
+    assert calls == 4414
+    assert calls < 18558 // 2
 
 
 def test_cyclic_relations_suite_lists_capped_prefixed_failures(monkeypatch):
