@@ -39,8 +39,8 @@ class ArcSystem:
 
     `ArcSystem(m, pairs, phi)` builds one from (Turn, Fraction) pairs and
     Fraction gaps; `on_lattice` from numerators.  `pairs`, `centers()`,
-    `radii()`, `phi` and `quantum` are Fraction views, and the repr is that
-    of the views."""
+    `radii()` and `phi` are Fraction views, and the repr is that of the
+    views."""
 
     m: int
     den: int
@@ -81,11 +81,6 @@ class ArcSystem:
     @property
     def n(self) -> int:
         return len(self.zs)
-
-    @property
-    def quantum(self) -> Fraction:
-        """Circumference of the quotient circle, 1/m turns."""
-        return Fraction(1, self.m)
 
     def centers(self) -> tuple[Turn, ...]:
         return tuple(Turn(Fraction(z, self.den)) for z in self.zs)

@@ -1,16 +1,22 @@
-"""The m-cyclic category: operator words, rewriting to normal form, the
+"""The m-cyclic category: operator words and their normal form, the
 rational point model of its standard spaces, and the comparison with the
 all-degenerate arc configurations.
 
-Operator words are stored in application order (index 0 acts first).  The
-normal form puts the twist outermost and the simplicial part in the unique
-degeneracies-then-faces factorization:
+Operator words are stored in application order (index 0 acts first).  Every
+morphism of the m-cyclic category is one monotone map of the simplex
+category followed by one twist power, so the normal form puts the twist
+outermost and the simplicial part in the unique degeneracies-then-faces
+factorization of that monotone map:
 
     tau^k o s_{b_1} ... s_{b_t} o d_{a_1} ... d_{a_v}
-    with b_1 > ... > b_t,  a_1 < ... < a_v,  0 <= k < m * (target degree + 1).
+    with b_1 > ... > b_t,  a_1 < ... < a_v,  0 <= k < m * (target degree + 1),
+
+where the a are the values the map misses and the b the positions it
+repeats.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -125,79 +131,64 @@ def identity_word(m: int, q: int) -> CyclicWord:
 
 
 # ---------------------------------------------------------------------------
-# rewriting
+# the normal form
 # ---------------------------------------------------------------------------
 
-def _simplicial_rule(a: Gen, b: Gen) -> list[Gen] | None:
-    """The rewrite of the pair `a` then `b` toward the degeneracies-outside
-    canonical factorization, or None when the pair is already canonical."""
-    q = a.degree
-    if a.kind == "s" and b.kind == "d":
-        j, k = a.index, b.index  # d_k s_j at degree q
-        if k < j:
-            return [Gen("d", k, q), Gen("s", j - 1, q - 1)]
-        if k in (j, j + 1):
-            return []
-        return [Gen("d", k - 1, q), Gen("s", j, q - 1)]
-    if a.kind == "d" and b.kind == "d":
-        # math pair d_y o d_x with x applied first; canonical needs y < x
-        x, y = a.index, b.index
-        if y >= x:
-            return [Gen("d", y + 1, q), Gen("d", x, q - 1)]
-    if a.kind == "s" and b.kind == "s":
-        # math pair s_y o s_x with x applied first; canonical needs y > x
-        x, y = a.index, b.index
-        if y <= x:
-            return [Gen("s", y, q), Gen("s", x + 1, q + 1)]
-    return None
+def normalize_word(w: CyclicWord) -> CyclicWord:
+    """The normal form, read off in one pass over the generators.
 
-
-def _push_twists(w: CyclicWord) -> tuple[list[Gen], int]:
-    """The word as (faces and degeneracies, k) with every twist moved
-    outermost into tau^k at the target degree, in one pass.  The twists met
-    so far travel as one exponent, reduced mod m(q+1) because
-    tau_q^{m(q+1)} = id.  Pushing tau_q^k past d_j or s_j steps the index down
-    k times mod q+1; each step leaves one twist behind, except a step from
-    index 0, which leaves none past a face (d_0 tau = d_q) and two past a
-    degeneracy (s_0 tau = tau^2 s_q)."""
-    out: list[Gen] = []
-    k, q = 0, w.source
+    The twists met so far travel as one exponent k, reduced mod m(q+1)
+    because tau_q^{m(q+1)} = id.  Pushing tau_q^k past d_j or s_j steps the
+    index down k times mod q+1; each step leaves one twist behind, except a
+    step from index 0, which leaves none past a face (d_0 tau = d_q) and two
+    past a degeneracy (s_0 tau = tau^2 s_q).  The shifted faces and
+    degeneracies fold into the monotone map theta: [q] -> [source], kept
+    sparse as the values it misses and the positions j with
+    theta(j) = theta(j+1); the normal form is one face per missed value and
+    one degeneracy per repeat."""
+    m, q, k = w.m, w.source, 0
+    missed: list[int] = []  # ascending
+    reps: list[int] = []
     for g in w.gens:
         if g.kind == "t":
-            k = (k + 1) % (w.m * (q + 1))
+            k = (k + 1) % (m * (q + 1))
             continue
         n = q + 1
         # the steps s < k that start from index 0 are s = j, j + n, j + 2n, ...
         wraps = (k - 1 - g.index) // n + 1 if k > g.index else 0
-        out.append(Gen(g.kind, (g.index - k) % n, q))
-        if g.kind == "d":
-            k, q = k - wraps, q - 1
-        else:
+        i = (g.index - k) % n
+        if g.kind == "s":
+            # theta o sigma_i repeats at i, and at p + 1 for each repeat p >= i
+            reps = [p + (p >= i) for p in reps] + [i]
             k, q = k + wraps, q + 1
-        k %= w.m * (q + 1)
-    return out, k
-
-
-def normalize_word(w: CyclicWord) -> CyclicWord:
-    """Rewrite to the canonical twist-outermost normal form.  The simplicial
-    rewrites always apply at the leftmost pair they rewrite; after an edit at
-    i the scan resumes at i - 1, because every pair left of it is unchanged
-    and was already found canonical."""
-    gens, k = _push_twists(w)
-    i = 0
-    while i < len(gens) - 1:
-        repl = _simplicial_rule(gens[i], gens[i + 1])
-        if repl is None:
-            i += 1
         else:
-            gens[i:i + 2] = repl
-            i = max(i - 1, 0)
-    target = gens[-1].target if gens else w.source
-    gens.extend(Gen("t", 0, target) for _ in range(k))
-    out = CyclicWord(w.m, w.source, tuple(gens))
+            # theta o delta_i drops position i: a repeat at i or i - 1 absorbs
+            # it, or else the value theta(i) is no longer hit
+            if i in reps:
+                reps.remove(i)
+            elif i - 1 in reps:
+                reps.remove(i - 1)
+            else:
+                v = i - sum(p < i for p in reps)
+                for x in missed:
+                    v += x <= v
+                bisect.insort(missed, v)
+            reps = [p - (p > i) for p in reps]
+            k, q = k - wraps, q - 1
+        k %= m * (q + 1)
+    gens: list[Gen] = []
+    q = w.source
+    for x in reversed(missed):
+        gens.append(Gen("d", x, q))
+        q -= 1
+    for r in sorted(reps):
+        gens.append(Gen("s", r, q))
+        q += 1
+    gens.extend(Gen("t", 0, q) for _ in range(k))
+    out = CyclicWord(m, w.source, tuple(gens))
     if out.target != w.target:
         raise InvariantViolation(
-            f"rewriting moved the target degree from {w.target} to {out.target}")
+            f"normalizing moved the target degree from {w.target} to {out.target}")
     return out
 
 

@@ -84,26 +84,6 @@ class Turn:
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "value", mod_frac(rat(self.value), modulus))
 
-    def _check(self, other: "Turn") -> None:
-        if self.modulus != other.modulus:
-            raise MismatchError(
-                f"modulus mismatch: {self.modulus} vs {other.modulus}")
-
-    def __add__(self, other: "Turn | Rat | int") -> "Turn":
-        if isinstance(other, Turn):
-            self._check(other)
-            return Turn(self.value + other.value, self.modulus)
-        return Turn(self.value + Fraction(other), self.modulus)
-
-    def __sub__(self, other: "Turn | Rat | int") -> "Turn":
-        if isinstance(other, Turn):
-            self._check(other)
-            return Turn(self.value - other.value, self.modulus)
-        return Turn(self.value - Fraction(other), self.modulus)
-
-    def __neg__(self) -> "Turn":
-        return Turn(-self.value, self.modulus)
-
 
 def first_overlap(arcs: Sequence[tuple[int | Rat, int | Rat, object]],
                   period: int | Rat | None = None) -> tuple[object, object] | None:

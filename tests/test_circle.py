@@ -246,12 +246,14 @@ def test_compose_module_associativity_and_cyclic_compat():
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 4), st.integers(1, 12))
 def test_compose_uec_centers_match_the_turn_formula(seed, m, n, den):
-    # the integer substitution on the centers' values, against Turn addition
+    # the integer substitution on the centers' values, against the Fraction
+    # formula reduced by Turn
     rng = random.Random(seed)
     x = sample_uec(rng, m, n, den)
     gs = [sample_ucompact(rng, rng.randint(0, 3), den) for _ in range(n)]
     got = compose_uec(x, gs)
-    want = tuple((z + r * w, r * s) for (z, r), g in zip(x.pairs, gs) for w, s in g)
+    want = tuple((Turn(z.value + r * w), r * s)
+                 for (z, r), g in zip(x.pairs, gs) for w, s in g)
     assert got.pairs == want
     assert all(type(z) is Turn and type(z.value) is F and type(r) is F
                for z, r in got.pairs)

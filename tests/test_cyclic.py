@@ -1,5 +1,6 @@
-"""Cyclic category words, rewriting, point actions, and the comparison with
-zero-radius arc systems."""
+"""Cyclic category words, normal forms against a rewriting oracle, point
+actions, and the comparison with zero-radius arc systems."""
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcbar.circle import circle_act, sample_ucc, wreath_act
-from arcbar.cyclic import (CyclicPoint, CyclicWord, Gen, _simplicial_rule,
-                           act_on_point, align_ucc, circle_act_point,
-                           identity_word, is_aligned, lambda_to_ucc,
-                           normalize_word, parse_word, sample_point,
-                           sample_word, tau_upsilon_intertwined, twist_point,
+from arcbar.cyclic import (CyclicPoint, CyclicWord, Gen, act_on_point,
+                           align_ucc, circle_act_point, identity_word,
+                           is_aligned, lambda_to_ucc, normalize_word,
+                           parse_word, sample_point, sample_word,
+                           tau_upsilon_intertwined, twist_point,
                            ucc_to_lambda)
 from arcbar.groups import CyclicElem, WreathElem
 from arcbar.rational import InvariantViolation, MismatchError, Turn
@@ -67,7 +68,9 @@ def test_normal_form_shape_and_idempotence():
 
 
 # The confluence oracle: single rewrites, one pair at a time, from which
-# the full-rescan normal form and the one-step rewrite sets are built.
+# the full-rescan normal form and the one-step rewrite sets are built.  It
+# shares no code with normalize_word, which reads the normal form off the
+# monotone map instead.
 
 def _tau_step(gens: list[Gen]) -> bool:
     """One rewrite pushing a twist outward (later in application order)."""
@@ -89,6 +92,30 @@ def _tau_step(gens: list[Gen]) -> bool:
         gens[i:i + 2] = repl
         return True
     return False
+
+
+def _simplicial_rule(a: Gen, b: Gen) -> list[Gen] | None:
+    """The rewrite of the pair `a` then `b` toward the degeneracies-outside
+    canonical factorization, or None when the pair is already canonical."""
+    q = a.degree
+    if a.kind == "s" and b.kind == "d":
+        j, k = a.index, b.index  # d_k s_j at degree q
+        if k < j:
+            return [Gen("d", k, q), Gen("s", j - 1, q - 1)]
+        if k in (j, j + 1):
+            return []
+        return [Gen("d", k - 1, q), Gen("s", j, q - 1)]
+    if a.kind == "d" and b.kind == "d":
+        # math pair d_y o d_x with x applied first; canonical needs y < x
+        x, y = a.index, b.index
+        if y >= x:
+            return [Gen("d", y + 1, q), Gen("d", x, q - 1)]
+    if a.kind == "s" and b.kind == "s":
+        # math pair s_y o s_x with x applied first; canonical needs y > x
+        x, y = a.index, b.index
+        if y <= x:
+            return [Gen("s", y, q), Gen("s", x + 1, q + 1)]
+    return None
 
 
 def _simplicial_step(gens: list[Gen]) -> bool:
@@ -131,9 +158,8 @@ def rewrite_once_everywhere(w: CyclicWord) -> list[CyclicWord]:
 
 
 def _normalize_full_rescan(w):
-    """The rewriting loop of normalize_word before it moved twists in one pass
-    and resumed at the edit: one rewrite at a time, each found by scanning
-    from index 0."""
+    """The normal form by rewriting: one rewrite at a time, each found by
+    scanning from index 0."""
     gens = list(w.gens)
     while _tau_step(gens):
         pass
@@ -151,12 +177,61 @@ def _normalize_full_rescan(w):
     return CyclicWord(w.m, w.source, tuple(gens))
 
 
+def _one_more_generator(w: CyclicWord, max_degree: int) -> list[CyclicWord]:
+    """`w` followed by each generator at its target whose own target is at
+    most `max_degree`."""
+    q = w.target
+    opts = [Gen("t", 0, q)]
+    if q < max_degree:
+        opts += [Gen("s", i, q) for i in range(q + 1)]
+    if q >= 1:
+        opts += [Gen("d", i, q) for i in range(q + 1)]
+    return [CyclicWord(w.m, w.source, w.gens + (g,)) for g in opts]
+
+
+def test_normal_form_equals_full_rescan_oracle_exhaustive():
+    # every word of length <= 4 from every source degree <= 4, for m <= 3
+    for m in (1, 2, 3):
+        for source in range(5):
+            words = [identity_word(m, source)]
+            for length in range(5):
+                for w in words:
+                    assert normalize_word(w) == _normalize_full_rescan(w), str(w)
+                if length < 4:  # a degree cap of source + 4 caps nothing
+                    words = [w2 for w in words
+                             for w2 in _one_more_generator(w, source + 4)]
+
+
 def test_normal_form_equals_full_rescan_oracle_on_seeded_words():
     rng = random.Random(6)
-    for length in list(range(0, 33)) + [48, 64, 96, 128] * 3:
+    for length in list(range(0, 33)) + [48, 64, 96, 128, 192, 256] * 3:
         m, q = rng.randint(1, 4), rng.randint(0, 5)
         w = sample_word(rng, m, q, length)
         assert normalize_word(w) == _normalize_full_rescan(w), str(w)
+
+
+def test_hom_set_counts_match_the_closed_form():
+    # Hom(p, q) is m(q+1) twist powers times the C(p+q+1, q+1) monotone maps
+    # [q] -> [p]; close the normal forms from degree p under one more
+    # generator, with every degree at most 4
+    for m in (1, 2, 3):
+        for p in range(4):
+            found = {identity_word(m, p)}
+            frontier = list(found)
+            while frontier:
+                new = {normalize_word(w2) for w in frontier
+                       for w2 in _one_more_generator(w, 4)} - found
+                found |= new
+                frontier = list(new)
+            for q in range(5):
+                count = sum(nf.target == q for nf in found)
+                assert count == m * (q + 1) * math.comb(p + q + 1, q + 1), (m, p, q)
+
+
+def test_normal_form_does_not_depend_on_the_degree():
+    # theta is kept sparse, so a word at degree 10^9 costs what it costs at 10
+    w = parse_word("d0.d999999.s5", 2, 10**9)
+    assert str(normalize_word(w)) == "s4.d0.d999998"
 
 
 @st.composite
@@ -187,19 +262,12 @@ def test_normal_form_equals_full_rescan_oracle(w):
 def test_local_confluence_exhaustive_small():
     # every word of length <= 3 over every generator index, all one-step
     # rewrites rejoining at the same normal form
-    def extensions(w):
-        q = w.target
-        opts = [Gen("t", 0, q)]
-        opts += [Gen("s", i, q) for i in range(q + 1)]
-        if q >= 1:
-            opts += [Gen("d", i, q) for i in range(q + 1)]
-        return [CyclicWord(w.m, w.source, w.gens + (g,)) for g in opts]
-
     for m in (1, 2, 4):
         for q0 in range(0, 6):
             words = [CyclicWord(m, q0, ())]
             for _ in range(3):
-                words = [w2 for w in words for w2 in extensions(w)]
+                words = [w2 for w in words
+                         for w2 in _one_more_generator(w, q0 + 3)]
                 for w in words:
                     nf = normalize_word(w)
                     for w2 in rewrite_once_everywhere(w):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcbar.rational import (InvariantViolation, MismatchError, Turn, _draw_num,
+from arcbar.rational import (InvariantViolation, Turn, _draw_num,
                              check_nonzero_composition, composition_nums,
                              first_overlap, mod_frac, rat, rat_str, parse_rat)
 
@@ -70,15 +70,6 @@ def test_turn_canonicalization(x, modulus):
     assert Turn(x - 5 * modulus, modulus) == t
 
 
-def test_turn_arithmetic():
-    a = Turn(F(3, 4))
-    assert (a + F(1, 2)).value == F(1, 4)
-    assert (a - Turn(F(1, 4))).value == F(1, 2)
-    assert (-Turn(F(1, 3))).value == F(2, 3)
-    with pytest.raises(MismatchError):
-        a + Turn(F(0), F(1, 2))
-
-
 def _circle_overlap(c1, h1, c2, h2):
     return first_overlap(sorted([(c1 % 1, h1, 1), (c2 % 1, h2, 2)]), F(1)) is not None
 
@@ -95,10 +86,6 @@ def test_arcs_overlap_examples():
     # the wrap-around pair: 15/16 lies inside the open arc about 0
     assert _circle_overlap(F(0), F(1, 8), F(15, 16), 0)
     assert not _circle_overlap(F(0), F(1, 8), F(1, 8), 0)
-    # the scan reads centers in one period; turns on different circles
-    # cannot be brought into one
-    with pytest.raises(MismatchError):
-        Turn(F(0)) - Turn(F(0), F(1, 2))
 
 
 @settings(max_examples=200)

@@ -106,3 +106,38 @@ def test_every_top_level_definition_is_reached_from_src():
                  if name not in allowed and uses[module, name] ==
                  _uses(top, module, modules)[module, name]]
     assert not unreached, unreached
+
+
+def _attribute_reads(node) -> Counter:
+    """How often `node` reads each attribute name, on any object."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+# Methods that src/ reads nowhere yet, each with the ROADMAP item that
+# would give it a caller.
+_UNREACHED_METHODS = {
+    "FreeMonoid.lift": "smaller item: a bar-resolution verdict on the free monoid",
+    "FreeMonoid.flatten": "item 9: B(T, T, R) resolves finite monoid coefficients",
+}
+
+
+def test_every_method_is_read_from_src():
+    # a non-dunder method or property that no code in src/ reads as an
+    # attribute, outside its own body, is dead or test-only; any object's
+    # attribute of that name counts, and so does a read in acceptance tests
+    root = Path(arcbar.__file__).parent
+    modules = {path.stem: ast.parse(path.read_text(), str(path))
+               for path in sorted(root.rglob("*.py"))}
+    reads = sum((_attribute_reads(tree) for tree in modules.values()), Counter())
+    acceptance = Path(__file__).with_name("test_acceptance.py")
+    allowed = set(_attribute_reads(ast.parse(acceptance.read_text())))
+    unreached = [f"{module}.{cls.name}.{fn.name}"
+                 for module, tree in modules.items()
+                 for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                 and not (fn.name.startswith("__") and fn.name.endswith("__"))
+                 and fn.name not in allowed
+                 and f"{cls.name}.{fn.name}" not in _UNREACHED_METHODS
+                 and reads[fn.name] == _attribute_reads(fn)[fn.name]]
+    assert not unreached, unreached

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from arcbar import barcalc, circle, cli, cyclic, jsonio
-from arcbar.cyclic import Gen
+from arcbar.cyclic import CyclicWord, Gen
 from arcbar.rational import InvariantViolation
 from arcbar.report import Report
 from arcbar.suites import SUITES, RunConfig, run_suite
@@ -477,14 +477,15 @@ def test_cli_verdict_option_left_out_takes_the_run_config_default(monkeypatch, c
 
 # -- a defect found after validation is a failing report, not exit 2 ---------
 
-_SIMPLICIAL_RULE = cyclic._simplicial_rule
+_NORMALIZE_WORD = cyclic.normalize_word
 
 
-def _rule_keeping_j(a, b):
-    """The word rewrite with d_k s_j, k < j, sent to s_j d_k, not s_{j-1} d_k."""
-    if a.kind == "s" and b.kind == "d" and b.index < a.index:
-        return [Gen("d", b.index, a.degree), Gen("s", a.index, a.degree - 1)]
-    return _SIMPLICIAL_RULE(a, b)
+def _normal_form_keeping_j(w):
+    """The normal form with every degeneracy index raised by one: the slip of
+    a rewrite of d_k s_j, k < j, to s_j d_k rather than s_{j-1} d_k."""
+    nf = _NORMALIZE_WORD(w)
+    return CyclicWord(nf.m, nf.source, tuple(
+        Gen("s", g.index + 1, g.degree) if g.kind == "s" else g for g in nf.gens))
 
 
 def _overlap_when_touching(arcs, period=None):
@@ -500,7 +501,7 @@ def _overlap_when_touching(arcs, period=None):
 
 
 @pytest.mark.parametrize("module, name, mutant, suite, text", [
-    pytest.param(cyclic, "_simplicial_rule", _rule_keeping_j, "cyclic-relations",
+    pytest.param(cyclic, "normalize_word", _normal_form_keeping_j, "cyclic-relations",
                  "degeneracy s_3 invalid at degree 2", id="rewrite-keeps-j"),
     pytest.param(circle, "first_overlap", _overlap_when_touching, "embed-compose",
                  "overlap with positive radius", id="touching-arcs-overlap"),
