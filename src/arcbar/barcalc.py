@@ -6,6 +6,7 @@ comparison with the cyclic space model.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -526,28 +527,46 @@ class LabeledOrbit:
     kind: str = "point"  # "point" | "unit" | "base"
 
 
+def _slot_plan(zs: Sequence[int], rest: tuple, quantum: int) -> tuple:
+    """The labelling-free half of `_canon_slots`: the least rotation of
+    (centers mod quantum, *rest), the rotations attaining it, and the slot
+    exponents -(z // quantum), None when every center is in [0, quantum)."""
+    if 0 <= min(zs) and max(zs) < quantum:
+        cols, exps = (tuple(zs), *rest), None
+    else:
+        cols = (tuple([z % quantum for z in zs]), *rest)
+        exps = [-(z // quantum) for z in zs]
+    n = len(zs)
+    twice = cols[0] * 2
+    turned = [twice[k:k + n] for k in range(n)]
+    least = min(turned)
+    ks = [k for k in range(n) if turned[k] == least]
+    if len(ks) > 1:  # rotations whose centers tie are told apart by *rest
+        heads = [tuple([c[k:] + c[:k] for c in cols]) for k in ks]
+        least = min(heads)
+        ks = [k for k, h in zip(ks, heads) if h == least]
+    k = ks[0]
+    return tuple([c[k:] + c[:k] for c in cols]), ks, exps
+
+
+def _slot_relabel(plan: tuple, labels: tuple, sig_pow) -> tuple:
+    """Turn the labels by the plan's exponents; take the least tied rotation."""
+    head, ks, exps = plan
+    if exps is not None:
+        labels = tuple(map(sig_pow, labels, exps))
+    return (*head, min([labels[k:] + labels[:k] for k in ks]))
+
+
 def _canon_slots(zs: Sequence[int], rest: tuple, labels: Sequence[str],
                  quantum: int, sig_pow) -> tuple:
     """Least (centers, *rest, labels) over the orbit of Z_n wr C_m, on
     integer centers with the quantum 1/m as `quantum`.
 
-    The C_m member of a slot moves only that slot's center, by multiples of
-    `quantum`, and acts by sigma on its label.  Centers compare first, so
-    for each rotation the least member reduces every center mod `quantum`;
-    only the n rotations are left to compare, and only those whose centers
-    tie for the least are built in full.  When every center already lies in
-    [0, quantum), that member is the identity and relabels nothing.
+    A slot's C_m member moves its center by multiples of `quantum` and acts
+    by sigma on its label.  Centers compare first, so each center reduces
+    mod `quantum`, and only the n rotations are left to compare.
     """
-    if 0 <= min(zs) and max(zs) < quantum:
-        cols = (tuple(zs), *rest, tuple(labels))
-    else:
-        cols = (tuple(z % quantum for z in zs), *rest,
-                tuple(sig_pow(y, -(z // quantum)) for z, y in zip(zs, labels)))
-    centers = cols[0]
-    turned = [centers[k:] + centers[:k] for k in range(len(centers))]
-    least = min(turned)
-    return min(tuple(c[k:] + c[:k] for c in cols)
-               for k, t in enumerate(turned) if t == least)
+    return _slot_relabel(_slot_plan(zs, rest, quantum), tuple(labels), sig_pow)
 
 
 def labeled_orbit(coeffs: PointedCmSet, space: ArcSystem,
@@ -601,6 +620,27 @@ class LambdaClass:
     kind: str = "point"  # "point" | "unit" | "base"
 
 
+def _twist_plan(rbar: int, ts: tuple[int, ...], one: int) -> tuple:
+    """The labelling-free half of `_canon_twists`: the least (rbar mod one,
+    simplex) key, and for each twist power k attaining it, with rbar down
+    j turns, the exponent -j - (i < k) of the label landing in slot i."""
+    cands = []
+    for k in range(len(ts)):
+        j = rbar // one
+        cands.append(((rbar - j * one, ts), k, j))
+        rbar, ts = rbar - ts[-1], (ts[-1],) + ts[:-1]
+    key = min(cands)[0]
+    return key, [(k, [-j - (i < k) for i in range(len(ts))])
+                 for c, k, j in cands if c == key]
+
+
+def _twist_relabel(plan: tuple, labels: tuple, sig_pow) -> tuple:
+    """Slot i takes the label of slot i - k, for the tied candidates only."""
+    key, cands = plan
+    return (*key, min([tuple(map(sig_pow, labels[-k:] + labels[:-k], exps))
+                       for k, exps in cands]))
+
+
 def _canon_twists(rbar: int, ts: tuple[int, ...], labels: tuple[str, ...],
                   one: int, sig_pow) -> tuple:
     """Least (rbar, simplex, labels) over the orbit of C_{mn}: the twist on
@@ -608,24 +648,11 @@ def _canon_twists(rbar: int, ts: tuple[int, ...], labels: tuple[str, ...],
     on integer numerators with `one` units of rbar to a turn.
 
     The n-th power of the generator shifts rbar by -one and applies sigma^-1
-    to every label, so for each of the n twist powers the least member has
-    rbar in [0, one); only those n candidates are compared.  After k twists
-    the label in slot i is the one from slot i - k, turned by sigma^-1 once
-    if it wrapped (i < k); a candidate's labels are built only when its
-    (rbar, simplex) key does not lose to the best so far.
+    to every label, so only the n twist powers with rbar in [0, one) are
+    compared.  After k twists slot i holds the label from slot i - k, turned
+    by sigma^-1 once if it wrapped (i < k).
     """
-    n = len(ts)
-    best = None
-    for k in range(n):
-        j = rbar // one
-        key = (rbar - j * one, ts)
-        if best is None or key <= best[:2]:
-            cand = key + (tuple(sig_pow(labels[i - k], -j - (i < k))
-                                for i in range(n)),)
-            if best is None or cand < best:
-                best = cand
-        rbar, ts = rbar - ts[-1], (ts[-1],) + ts[:-1]
-    return best
+    return _twist_relabel(_twist_plan(rbar, ts, one), tuple(labels), sig_pow)
 
 
 def _lambda_canon(coeffs: PointedCmSet, p: CyclicPoint,
@@ -691,13 +718,10 @@ def check_thm_cycbar_free(X: PointedCmSet, n_max: int, m: int, den: int = 4,
     sig_pow = X.sigma_pow
 
     # encoded points: centers and gaps in 1/(m*den) turns on the space side,
-    # rbar and simplex coordinates in 1/den units on the cyclic side
-    def space_canon(enc):
-        zs, ps, labels = enc
-        return _canon_slots(zs, (ps,), labels, den, sig_pow)
-
-    def lam_canon(enc):
-        return _canon_twists(*enc, den, sig_pow)
+    # rbar and simplex coordinates in 1/den units on the cyclic side; each
+    # geometry is planned once and every labelling of it reuses the plan
+    slot_plan = functools.cache(lambda zs, ps: _slot_plan(zs, (ps,), den))
+    twist_plan = functools.cache(lambda rbar, ts: _twist_plan(rbar, ts, den))
 
     for n in range(1, n_max + 1):
         # every orbit meets the points with all centers (space side) or the
@@ -708,9 +732,10 @@ def check_thm_cycbar_free(X: PointedCmSet, n_max: int, m: int, den: int = 4,
             for z0 in range(den):
                 zs = tuple(itertools.accumulate(
                     ps[:-1], lambda z, p: (z + p) % den, initial=z0))
+                space_plan, lam_plan = slot_plan(zs, ps), twist_plan(z0, ps)
                 for labels in itertools.product(letters, repeat=n):
-                    space_classes.add(space_canon((zs, ps, labels)))
-                    lam_classes.add(lam_canon((z0, ps, labels)))
+                    space_classes.add(_slot_relabel(space_plan, labels, sig_pow))
+                    lam_classes.add(_twist_relabel(lam_plan, labels, sig_pow))
         # C_{mn} acts freely on the lattice, so Burnside counts the classes
         closed = den * math.comb(den + n - 1, n - 1) * len(letters) ** n // n
         rep.per_degree.append({"n": n, "left_classes": len(space_classes),
@@ -737,8 +762,8 @@ def check_thm_cycbar_free(X: PointedCmSet, n_max: int, m: int, den: int = 4,
                     raise InvariantViolation(
                         "encoded system violates the gap consistency invariant")
                 cs[j] = diff // den
-            labels2 = tuple(sig_pow(labels[i], cs[i]) for i in range(n))
-            return lam_canon((zs[0], ps, labels2))
+            labels2 = tuple(map(sig_pow, labels, cs))
+            return _twist_relabel(twist_plan(zs[0], ps), labels2, sig_pow)
 
         images: dict = {}
         ok_bijection = True
@@ -759,7 +784,7 @@ def check_thm_cycbar_free(X: PointedCmSet, n_max: int, m: int, den: int = 4,
             for (rbar, ts, labels), cls in images.items():
                 zs = tuple(itertools.accumulate(
                     ts[:-1], lambda z, t: (z + t) % scale, initial=rbar))
-                if space_canon((zs, ts, labels)) != cls:
+                if _slot_relabel(slot_plan(zs, ts), labels, sig_pow) != cls:
                     rep.fail("explicit-inverse", f"n={n}")
                     break
 
@@ -777,8 +802,8 @@ def check_thm_cycbar_free(X: PointedCmSet, n_max: int, m: int, den: int = 4,
                 rep.fail("dual-route-lattice", f"n={n}")
                 break
             k = den // pt.den
-            enc = (pt.r * k, tuple(t * k for t in pt.ts), lam.labels)
-            if lam_canon(enc) != forward(cls):
+            plan = twist_plan(pt.r * k, tuple(t * k for t in pt.ts))
+            if _twist_relabel(plan, lam.labels, sig_pow) != forward(cls):
                 rep.fail("dual-route", f"n={n}")
                 break
             if lambda_class_to_orbit(X, lam) != orb:

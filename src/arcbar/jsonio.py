@@ -148,6 +148,8 @@ def monoid_to_json(R: FinCmMonoid) -> dict:
 
 
 def monoid_from_json(obj: dict) -> FinCmMonoid:
+    if not isinstance(obj, dict):
+        raise SchemaError("monoids are {elements, unit, m, mul, sigma} objects")
     return FinCmMonoid(name=obj.get("name", "monoid"),
                        elements=tuple(_need(obj, "elements")),
                        base=obj.get("base", "*"), unit=_need(obj, "unit"),

@@ -159,7 +159,22 @@ def run_cyclic_relations(cfg: RunConfig) -> Report:
             rep.cases += 1
             if cyclic.act_on_point(w, p) != cyclic.act_on_point(nf, p):
                 rep.fail("word-action-consistency", f"trial {t}: {w}")
+            if not _has_normal_shape(nf) or cyclic.normalize_word(nf) != nf:
+                rep.fail("word-shape", f"trial {t}: {w}", got=str(nf))
     return rep
+
+
+def _has_normal_shape(w: cyclic.CyclicWord) -> bool:
+    """Faces with strictly decreasing indices, then degeneracies with strictly
+    increasing indices, then tau^k with 0 <= k < m(q+1), all in application
+    order."""
+    kinds = [g.kind for g in w.gens]
+    faces = [g.index for g in w.gens if g.kind == "d"]
+    degens = [g.index for g in w.gens if g.kind == "s"]
+    return (kinds == sorted(kinds, key="dst".index)
+            and all(a > b for a, b in zip(faces, faces[1:]))
+            and all(a < b for a, b in zip(degens, degens[1:]))
+            and kinds.count("t") < w.m * (w.target + 1))
 
 
 def run_lambda_iso(cfg: RunConfig) -> Report:

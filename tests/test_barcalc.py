@@ -894,6 +894,122 @@ def test_encoded_canonical_forms_equal_orbit_sweep(m, n_max):
             assert _canon_twists(rbar, ts, labels, den, sig) == sweep[rbar, ts, labels]
 
 
+def _slots_per_labelling(zs, rest, labels, quantum, sig_pow):
+    """Least (centers, *rest, labels) computed anew for one labelling: every
+    center reduced mod `quantum` with its label turned to match, then the
+    least rotation among those whose centers tie."""
+    if 0 <= min(zs) and max(zs) < quantum:
+        cols = (tuple(zs), *rest, tuple(labels))
+    else:
+        cols = (tuple(z % quantum for z in zs), *rest,
+                tuple(sig_pow(y, -(z // quantum)) for z, y in zip(zs, labels)))
+    centers = cols[0]
+    turned = [centers[k:] + centers[:k] for k in range(len(centers))]
+    least = min(turned)
+    return min(tuple(c[k:] + c[:k] for c in cols)
+               for k, t in enumerate(turned) if t == least)
+
+
+def _twists_per_labelling(rbar, ts, labels, one, sig_pow):
+    """Least (rbar, simplex, labels) computed anew for one labelling: each of
+    the n twist powers with rbar reduced mod `one`, labels built whenever
+    the (rbar, simplex) key does not lose."""
+    n = len(ts)
+    best = None
+    for k in range(n):
+        j = rbar // one
+        key = (rbar - j * one, ts)
+        if best is None or key <= best[:2]:
+            cand = key + (tuple(sig_pow(labels[i - k], -j - (i < k))
+                                for i in range(n)),)
+            if best is None or cand < best:
+                best = cand
+        rbar, ts = rbar - ts[-1], (ts[-1],) + ts[:-1]
+    return best
+
+
+def test_slot_plan_keeps_tied_rotations():
+    # a periodic geometry: both rotations tie, so the turned labels decide
+    plan = barcalc._slot_plan((0, 2), ((2, 2),), 2)
+    assert plan == (((0, 0), (2, 2)), [0, 1], [0, -1])
+    sig = pointed_set("X", ["x", "y"], 2, {"x": "y", "y": "x"}).sigma_pow
+    assert barcalc._slot_relabel(plan, ("x", "x"), sig) == ((0, 0), (2, 2), ("x", "y"))
+    assert barcalc._slot_plan((1, 0), ((2, 2),), 2) == (((0, 1), (2, 2)), [1], None)
+    assert barcalc._twist_plan(2, (2, 2), 4) == ((0, (2, 2)), [(1, [-1, 0])])
+
+
+def _assert_plans_match(m, sigma, geometries):
+    """Plan-then-relabel equals the per-labelling forms on every labelling by
+    three letters of each (zs, rest, quantum, rbar, ts, one) geometry."""
+    sig = pointed_set("X", ["x", "y", "z"], m, sigma).sigma_pow
+    for zs, rest, quantum, rbar, ts, one in geometries:
+        words = list(itertools.product("xyz", repeat=len(zs)))
+        slots = barcalc._slot_plan(zs, rest, quantum)
+        twists = barcalc._twist_plan(rbar, ts, one)
+        assert ([barcalc._slot_relabel(slots, w, sig) for w in words]
+                == [_slots_per_labelling(zs, rest, w, quantum, sig)
+                    for w in words]), (sigma, zs, rest, quantum)
+        assert ([barcalc._twist_relabel(twists, w, sig) for w in words]
+                == [_twists_per_labelling(rbar, ts, w, one, sig)
+                    for w in words]), (sigma, rbar, ts, one)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_plan_relabel_equals_per_labelling_canon(m):
+    # sigma the identity or, for even m, a swap of two of the three letters
+    sigmas = [{}, {"x": "y", "y": "x"}] if m % 2 == 0 else [{}]
+
+    def lattice():
+        # the encoded lattice of the theorem check, with the first center
+        # anywhere in [-den, m*den), so later ones leave the first quantum;
+        # fewer arcs at the finer lattices, to keep the test short
+        for den, n_max in {1: 4, 2: 4, 3: 3, 4: 2, 6: 2}.items():
+            for n in range(1, n_max + 1):
+                for ps in _compositions(den, n):
+                    for z0 in range(-den, m * den):
+                        zs = tuple(itertools.accumulate(
+                            ps[:-1], lambda z, p: (z + p) % (m * den), initial=z0))
+                        yield zs, (ps,), den, z0, ps, den
+
+    def periodic():
+        # free centers in [-q, 2q) under a constant gap, so whole rotations
+        # tie and the turned labels decide; twists on simplices summing to a
+        # multiple of `one`, so twist powers tie too
+        for q, n in itertools.product((1, 2), (1, 2, 3)):
+            for zs in itertools.product(range(-q, 2 * q), repeat=n):
+                ts = (q,) * n
+                yield zs, (ts,), q, zs[0], ts, q
+
+    for sigma in sigmas:
+        _assert_plans_match(m, sigma, lattice())
+        _assert_plans_match(m, sigma, periodic())
+
+
+def test_thm_cycbar_plans_each_geometry_once(monkeypatch):
+    # the check reuses one plan per geometry across every labelling, the
+    # forward map and the explicit inverse
+    built = {"slots": [], "twists": []}
+    slot_plan, twist_plan = barcalc._slot_plan, barcalc._twist_plan
+
+    def counted_slots(zs, rest, quantum):
+        built["slots"].append((tuple(zs), rest, quantum))
+        return slot_plan(zs, rest, quantum)
+
+    def counted_twists(rbar, ts, one):
+        built["twists"].append((rbar, ts, one))
+        return twist_plan(rbar, ts, one)
+
+    monkeypatch.setattr(barcalc, "_slot_plan", counted_slots)
+    monkeypatch.setattr(barcalc, "_twist_plan", counted_twists)
+    X = pointed_set("X", ["x", "y", "z"], 2, {"x": "y", "y": "x"})
+    out = check_thm_cycbar_free(X, 3, 2, 4, verify_reps=0)
+    assert out.ok and out.cases == 12 + 90 + 540
+    enumerated = sum(4 * math.comb(4 + n - 1, n - 1) for n in range(1, 4))
+    for side, keys in built.items():
+        assert len(keys) == len(set(keys)), side
+        assert len(keys) >= enumerated, side
+
+
 def _burnside_classes(n: int, den: int, letters) -> int:
     """Orbits of the order-n rotation rho(r, t, l) = (r - t_n, rotated t,
     rotated l) on Z_den x Comp(den, n) x L^n, by Burnside's lemma."""

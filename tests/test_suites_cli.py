@@ -312,6 +312,8 @@ _BAD_MONOIDS = {
                           "mul": [["*", "*", "*"], ["*", "e", "a"], ["*", "a", "q"]],
                           "sigma": ["*", "e", "a"]},
                          "product a*a = 'q' not among the elements"),
+    **{f"monoid-{tag}": (obj, "monoids are {elements, unit, m, mul, sigma} objects")
+       for tag, obj in (("list", []), ("string", "0"), ("nested-list", [[]]))},
 }
 
 # requests that parse but break an invariant the boundary checks, each with
@@ -406,6 +408,8 @@ _BAD_REQUESTS = {
                    None, id=name) for name, (obj, _) in _BAD_SYSTEMS.items()),
     *(pytest.param(["bar", "cyclic-verify", "--qmax", "2", "--monoid", json.dumps(obj)],
                    None, id=name) for name, (obj, _) in _BAD_MONOIDS.items()),
+    *(pytest.param(["element", "roundtrip", "--kind", "monoid", "--json", json.dumps(obj)],
+                   None, id=f"roundtrip-{name}") for name, (obj, _) in _BAD_MONOIDS.items()),
     *(pytest.param(argv, None, id=name) for name, (argv, _) in _BAD_REQUESTS.items()),
 ])
 def test_cli_malformed_input_exits_2(monkeypatch, capsys, argv, env_seed):
@@ -513,3 +517,12 @@ def test_cli_defect_is_a_failing_report(monkeypatch, capsys, module, name,
     data = json.loads(capsys.readouterr().out)
     assert set(data) == _REPORT_KEYS and not data["ok"]
     assert any(text in f["witness"] for f in data["failures"]), data["failures"]
+
+
+def test_word_shape_law_kills_a_normal_form_left_as_written(monkeypatch):
+    # a "normal form" equal to the input word acts like it, so only the
+    # shape law sees that it is not canonical
+    monkeypatch.setattr(cyclic, "normalize_word", lambda w: w)
+    rep = run_suite(RunConfig("cyclic-relations", seed=9, trials=60))
+    laws = {f["law"] for f in rep.failures}
+    assert "word-shape" in laws and "word-action-consistency" not in laws, laws
