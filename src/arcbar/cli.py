@@ -45,14 +45,64 @@ def _emit(obj, fh=None) -> None:
 # the RunConfig fields a verdict command takes as options
 _RUN_OPTIONS = {"seed": ["--seed"], "trials": ["--trials"], "m_max": ["--m"],
                 "n_max": ["--nmax"], "q_max": ["--qmax", "--q"], "den": ["--den"]}
+_REQUIRED = {"required": True}
+# an append action copies its default list before it appends to it
+_INNERS = {"action": "append", "default": []}
+
+# module -> (help, leaf or {command: leaf}); a leaf is (its options, each
+# flag -> add_argument keywords, and the suite it is a verdict of or None)
+_MODULES = {
+    "operad": ("operad composition and law checks", {
+        "compose": ({"--instance": {"required": True, "choices": sorted(
+                         name for name, inst in INSTANCES.items()
+                         if jsonio.has_json_form(inst))},
+                     "--outer": _REQUIRED, "--inner": _INNERS}, None),
+        "verify": ({"--instance": {"default": "all",
+                                   "choices": sorted(INSTANCES) + ["all"]}},
+                   "operad-laws")}),
+    "embed": ("arc-system composition and actions", {
+        "compose": ({"--outer": _REQUIRED, "--inner": {
+                         **_INNERS, "help": "JSON list of [v, s] pairs, one per outer arc"}},
+                    None),
+        "act": ({"--system": _REQUIRED, "--wreath": {"default": None},
+                 "--theta": {"default": None, "help": "rotation in turns, e.g. 1/4"}},
+                None),
+        "retract": ({"--system": _REQUIRED, "--steps": {"type": int, "default": 1}},
+                    None),
+        "verify": ({}, "embed-compose")}),
+    "cyclic": ("m-cyclic words and the point model", {
+        "normalize": ({"--word": _REQUIRED, "--m": {"type": int, "required": True},
+                       "--q": {"type": int, "required": True, "help": "source degree"}},
+                      None),
+        "act": ({"--word": _REQUIRED, "--point": _REQUIRED}, None),
+        "iso-check": ({}, "lambda-iso")}),
+    "bar": ("cyclic bar constructions", {
+        "cyclic-verify": ({"--monoid": {
+            "default": None,
+            "help": "monoid table JSON; defaults to the standard battery"}},
+            "cyclic-relations"),
+        "thm-cycbar": ({}, "thm-cycbar")}),
+    "suite": ("named verification suites", ({}, suites.SUITES)),
+    "element": ("schema round trips", {
+        "roundtrip": ({"--json": {"required": True, "dest": "payload"},
+                       "--kind": {"default": None}}, None)}),
+}
 
 
-def _add_verdict(p: argparse.ArgumentParser, suite: str | None = None) -> None:
-    """Make `p` a verdict command: its namespace holds the suite as `name`
-    (given here or positionally), and a RunConfig option left out stays None
-    and takes the RunConfig default (the seed: WORKBENCH_SEED)."""
-    if suite:
+def _add_leaf(p: argparse.ArgumentParser, options: dict, suite) -> None:
+    """Give the leaf parser `p` (a command, or `suite`) its options, each
+    flag -> add_argument keywords.  With a `suite`, `p` is a verdict
+    command: its namespace holds the suite as `name` (the one named here, or
+    a positional choice among several), and a RunConfig option left out
+    stays None and takes the RunConfig default (the seed: WORKBENCH_SEED)."""
+    for flag, kwargs in options.items():
+        p.add_argument(flag, **kwargs)
+    if suite is None:
+        return
+    if isinstance(suite, str):
         p.set_defaults(name=suite)
+    else:
+        p.add_argument("name", choices=sorted(suite))
     for dest, flags in _RUN_OPTIONS.items():
         p.add_argument(*flags, type=int, dest=dest)
     p.add_argument("--out")
@@ -72,75 +122,39 @@ def _finish(rep: Report, out: str | None) -> int:
     return 0 if rep.ok else 1
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(words) -> argparse.ArgumentParser:
+    """The parser tree as far as the argv words in `words` can reach it.
+
+    argparse hands the rest of argv to a subparser only when a word equals
+    the subparser's name, so a part no word names is never read.  Every
+    module parser is built, and under a named module every command parser,
+    so usage lines, help and choice errors are those of the full tree; only
+    the options of unnamed leaves are left out."""
     parser = argparse.ArgumentParser(
         prog="workbench",
         description="verification workbench for exact circle-operad algebra")
-    sub = parser.add_subparsers(dest="module", required=True)
-
-    p_operad = sub.add_parser("operad", help="operad composition and law checks")
-    operad_sub = p_operad.add_subparsers(dest="command", required=True)
-    pc = operad_sub.add_parser("compose")
-    pc.add_argument("--instance", required=True,
-                    choices=sorted(name for name, inst in INSTANCES.items()
-                                   if jsonio.has_json_form(inst)))
-    pc.add_argument("--outer", required=True)
-    pc.add_argument("--inner", action="append", default=[], required=True)
-    pv = operad_sub.add_parser("verify")
-    pv.add_argument("--instance", default="all",
-                    choices=sorted(INSTANCES) + ["all"])
-    _add_verdict(pv, "operad-laws")
-
-    p_embed = sub.add_parser("embed", help="arc-system composition and actions")
-    embed_sub = p_embed.add_subparsers(dest="command", required=True)
-    pe = embed_sub.add_parser("compose")
-    pe.add_argument("--outer", required=True)
-    pe.add_argument("--inner", action="append", default=[],
-                    help="JSON list of [v, s] pairs, one per outer arc")
-    pa = embed_sub.add_parser("act")
-    pa.add_argument("--system", required=True)
-    pa.add_argument("--wreath", default=None)
-    pa.add_argument("--theta", default=None, help="rotation in turns, e.g. 1/4")
-    pr = embed_sub.add_parser("retract")
-    pr.add_argument("--system", required=True)
-    pr.add_argument("--steps", type=int, default=1)
-    _add_verdict(embed_sub.add_parser("verify"), "embed-compose")
-
-    p_cyc = sub.add_parser("cyclic", help="m-cyclic words and the point model")
-    cyc_sub = p_cyc.add_subparsers(dest="command", required=True)
-    pn = cyc_sub.add_parser("normalize")
-    pn.add_argument("--word", required=True)
-    pn.add_argument("--m", type=int, required=True)
-    pn.add_argument("--q", type=int, required=True, help="source degree")
-    pact = cyc_sub.add_parser("act")
-    pact.add_argument("--word", required=True)
-    pact.add_argument("--point", required=True)
-    _add_verdict(cyc_sub.add_parser("iso-check"), "lambda-iso")
-
-    p_bar = sub.add_parser("bar", help="cyclic bar constructions")
-    bar_sub = p_bar.add_subparsers(dest="command", required=True)
-    pcv = bar_sub.add_parser("cyclic-verify")
-    pcv.add_argument("--monoid", default=None,
-                     help="monoid table JSON; defaults to the standard battery")
-    _add_verdict(pcv, "cyclic-relations")
-    _add_verdict(bar_sub.add_parser("thm-cycbar"), "thm-cycbar")
-
-    p_suite = sub.add_parser("suite", help="named verification suites")
-    p_suite.add_argument("name", choices=sorted(suites.SUITES))
-    _add_verdict(p_suite)
-
-    p_elem = sub.add_parser("element", help="schema round trips")
-    elem_sub = p_elem.add_subparsers(dest="command", required=True)
-    prt = elem_sub.add_parser("roundtrip")
-    prt.add_argument("--json", required=True, dest="payload")
-    prt.add_argument("--kind", default=None)
+    modules = parser.add_subparsers(dest="module", required=True)
+    for module, (text, spec) in _MODULES.items():
+        p = modules.add_parser(module, help=text)
+        if module not in words:
+            continue
+        if isinstance(spec, tuple):
+            _add_leaf(p, *spec)
+            continue
+        commands = p.add_subparsers(dest="command", required=True)
+        for command, leaf in spec.items():
+            q = commands.add_parser(command)
+            if command in words:
+                _add_leaf(q, *leaf)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         env_seed = _env_seed()  # read on each call: a malformed one fails every command
-        args = _parser().parse_args(argv)
+        if argv is None:
+            argv = sys.argv[1:]
+        args = _parser(set(argv)).parse_args(argv)
         if "name" in args:
             return _finish(_verdict(args, env_seed), args.out)
         _dispatch(args)

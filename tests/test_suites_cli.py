@@ -1,7 +1,13 @@
 """Suite runner determinism, report contracts, JSON round trips, and the
 command line front end."""
+import argparse
+import contextlib
 import hashlib
+import io
 import json
+import random
+import sys
+from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction as F
 
@@ -259,6 +265,25 @@ def test_cli_operad_compose_offers_only_instances_with_a_json_form(capsys):
                      "--trials", "5"]) == 0
 
 
+@pytest.mark.parametrize("outer", [
+    pytest.param({"instance": "dc", "pairs": [], "perm": []}, id="dc"),
+    pytest.param({"instance": "assoc", "perm": []}, id="assoc"),
+])
+def test_cli_operad_compose_of_a_nullary_outer_is_the_outer(capsys, outer):
+    # gamma(a;) = a: a nullary outer takes no --inner
+    assert cli.main(["operad", "compose", "--instance", outer["instance"],
+                     "--outer", json.dumps(outer)]) == 0
+    assert json.loads(capsys.readouterr().out) == outer
+
+
+def test_cli_operad_compose_without_inner_checks_the_arity(capsys):
+    # --inner may be left out, but the operad still counts the inputs
+    assert cli.main(["operad", "compose", "--instance", "dR",
+                     "--outer", json.dumps(_DISKS)]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: arity mismatch\n" and not out.out
+
+
 def test_cli_workbench_seed_env(monkeypatch, capsys):
     # read on each call: every report carries the seed of its own call
     for seed in (7, 9):
@@ -477,6 +502,173 @@ def test_cli_verdict_option_left_out_takes_the_run_config_default(monkeypatch, c
     assert cli.main(["embed", "verify", "--trials", "2"]) == 0
     config = json.loads(capsys.readouterr().out)["config"]
     assert config == {**asdict(RunConfig("embed-compose")), "trials": 2}
+
+
+# -- the parser tree is built only as far as argv reaches it -----------------
+
+class _EveryWord:
+    """A word set that holds every word: `cli._parser` of it is the full tree."""
+
+    def __contains__(self, word):
+        return True
+
+
+def _subparsers(parser):
+    """The subparsers of `parser` by name."""
+    return {name: sub for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+            for name, sub in action.choices.items()}
+
+
+def _paths(parser, path=()):
+    """The argv prefix of every parser in the tree under `parser`."""
+    yield list(path)
+    for name, sub in _subparsers(parser).items():
+        yield from _paths(sub, path + (name,))
+
+
+def _vocabulary(parser):
+    """Every subparser name and option string in the tree under `parser`."""
+    words = {s for action in parser._actions for s in action.option_strings}
+    for name, sub in _subparsers(parser).items():
+        words |= {name} | _vocabulary(sub)
+    return words
+
+
+def _parse_outcome(parser, argv):
+    """The namespace `parser` makes of argv, or the exit code, stdout and
+    stderr with which it answers or refuses it; argparse may only exit 0
+    (help) or 2 (usage error)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), (argv, code)
+    return code, out.getvalue(), err.getvalue()
+
+
+_README_REQUESTS = [
+    ["operad", "compose", "--instance", "dR", "--outer", json.dumps(_DISKS),
+     "--inner", json.dumps(_DISKS)],
+    ["operad", "verify", "--instance", "dc", "--trials", "1000", "--seed", "7"],
+    ["embed", "compose", "--outer", json.dumps(_SYSTEM), "--inner", '[["0", "1/2"]]'],
+    ["embed", "act", "--system", "system.json", "--theta", "1/4"],
+    ["embed", "retract", "--system", "system.json", "--steps", "2"],
+    ["cyclic", "normalize", "--word", "s0.t1", "--m", "2", "--q", "1"],
+    ["cyclic", "act", "--word", "d0.t2", "--point", "point.json"],
+    ["cyclic", "iso-check", "--m", "2", "--q", "3", "--trials", "1000"],
+    ["bar", "cyclic-verify", "--m", "4", "--qmax", "6"],
+    ["bar", "cyclic-verify", "--monoid", "monoid.json", "--qmax", "4"],
+    ["bar", "thm-cycbar", "--m", "1", "--nmax", "3", "--den", "4"],
+    ["suite", "lambda-iso", "--seed", "7", "--trials", "1000", "--out", "report.json"],
+    ["element", "roundtrip", "--json", '"2/4"'],
+]
+
+_EDGE_REQUESTS = [
+    [], ["--foo", "operad", "verify"], ["suite", "--", "thm-cycbar"],
+    ["operad", "compose", "--inst", "dR", "--outer", "{}"],
+    ["operad", "verify", "--instance=dR", "--trials", "5"],
+    ["cyclic", "normalize", "--word", "t0", "--m", "1"],
+    ["suite", "--trials", "5"], ["suite", "no-such-suite"],
+    ["embed", "retract", "--system", "{}", "--steps", "x"],
+    # option values that name another module or command
+    ["cyclic", "normalize", "--word", "verify", "--m", "1", "--q", "0"],
+    ["embed", "act", "--system", "compose", "--wreath", "cyclic", "--theta", "suite"],
+    ["element", "roundtrip", "--json", "operad", "--kind", "verify"],
+]
+
+
+def _corpus(full):
+    """Every README command; -h and --help, no further word and an invalid
+    name at every parser; and the edge cases above."""
+    corpus = _README_REQUESTS + _EDGE_REQUESTS
+    for path in _paths(full):
+        corpus += [path, path + ["-h"], path + ["--help"], path + ["no-such-name"]]
+    return corpus
+
+
+def _random_argv(rng, full, vocabulary):
+    paths = list(_paths(full))
+    values = ["dR", "dc", "all", "0", "1", "-1", "x", "1/4", "{}", "--", "-h",
+              "--inst", "--instance=dR", "--q=2", "operad-laws", "thm-cycbar"]
+    words = sorted(vocabulary) + values
+    return rng.choice(paths) + [rng.choice(words) for _ in range(rng.randint(0, 6))]
+
+
+def test_cli_parser_of_the_argv_words_parses_as_the_full_tree():
+    full = cli._parser(_EveryWord())
+    rng = random.Random(45)
+    vocabulary = _vocabulary(full)
+    corpus = _corpus(full) + [_random_argv(rng, full, vocabulary) for _ in range(1500)]
+    for argv in corpus:
+        assert _parse_outcome(cli._parser(set(argv)), argv) == \
+            _parse_outcome(full, argv), argv
+
+
+@pytest.fixture
+def parser_counts(monkeypatch):
+    """Counts of ArgumentParser constructions and add_argument calls."""
+    counts = Counter()
+    init, add = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
+
+    def counting_init(self, *args, **kwargs):
+        counts["parsers"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_add(self, *args, **kwargs):
+        counts["add_argument"] += 1
+        return add(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting_add)
+    return counts
+
+
+@pytest.mark.parametrize("argv, parsers, add_arguments", [
+    pytest.param(["operad", "compose", "--instance", "dR", "--outer", json.dumps(_DISKS),
+                  "--inner", json.dumps(_DISKS)], 9, 12, id="operad-compose"),
+    pytest.param(["embed", "act", "--system", json.dumps(_SYSTEM), "--theta", "1/4"],
+                 11, 14, id="embed-act"),
+    pytest.param(["cyclic", "normalize", "--word", "s0.t1", "--m", "2", "--q", "1"],
+                 10, 13, id="cyclic-normalize"),
+    pytest.param(["bar", "cyclic-verify", "--monoid", json.dumps(_MONOID),
+                  "--qmax", "2", "--trials", "5"], 9, 17, id="bar-cyclic-verify"),
+    pytest.param(["suite", "embed-compose", "--trials", "2"], 7, 15, id="suite"),
+    pytest.param(["element", "roundtrip", "--json", '"2/4"'], 8, 10,
+                 id="element-roundtrip"),
+])
+def test_cli_request_builds_only_the_parsers_argv_names(capsys, parser_counts, argv,
+                                                        parsers, add_arguments):
+    # the top-level parser and the six module parsers, the command parsers
+    # of the named module, and the options of the named command only
+    assert cli.main(argv) == 0
+    assert parser_counts == {"parsers": parsers, "add_argument": add_arguments}
+
+
+def test_cli_full_parser_tree_size(parser_counts):
+    cli._parser(_EveryWord())
+    assert parser_counts == {"parsers": 19, "add_argument": 81}
+
+
+def test_cli_main_reads_the_words_of_sys_argv(monkeypatch, capsys, parser_counts):
+    monkeypatch.setattr(sys, "argv", ["workbench", "cyclic", "normalize", "--word",
+                                      "s0.t1", "--m", "2", "--q", "1"])
+    assert cli.main() == 0
+    assert json.loads(capsys.readouterr().out)["normal_form"] == "t2.t2.s1"
+    assert parser_counts == {"parsers": 10, "add_argument": 13}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["suite", "-h"],
+                                  ["cyclic", "normalize", "--help"]])
+def test_cli_malformed_seed_exits_2_before_any_parser_is_built(
+        monkeypatch, capsys, parser_counts, argv):
+    monkeypatch.setenv("WORKBENCH_SEED", "seven")
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and not out.out
+    assert not parser_counts
 
 
 # -- a defect found after validation is a failing report, not exit 2 ---------
